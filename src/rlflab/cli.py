@@ -3,7 +3,8 @@
 Config files are a flat ``key = value`` text format ('#' starts a comment);
 the documented keys and defaults are in ``CONFIG_SCHEMA`` and printed by
 ``rlf-lab run --help``.  Exit codes: 0 all verdicts pass, 1 at least one
-estimate failed, 2 usage or config error.  Outputs under the chosen
+estimate failed, 2 usage or config error, or an estimate or numerics error
+that stopped the run.  Outputs under the chosen
 directory are byte-deterministic for identical configs: per-estimate JSON
 reports, a summary CSV, and fixed-canvas SVG plots with no timestamps.
 """
@@ -13,13 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .estimates import (
+    EstimateError,
     cauchy_diagnostic,
     compactness_a,
+    field_l1_distance,
     regularity_set,
     stability_report,
     translation_constants,
@@ -35,7 +38,7 @@ from .fields import (
 )
 from .flow import integrate_ensemble
 from .modulus import MODULUS_KINDS, PsiFunctional, make_modulus
-from .numerics import ball_measure, make_grid
+from .numerics import NumericsError, ball_measure, make_grid
 from .reporting import reports_to_csv
 
 __all__ = [
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 SUITES = ("stability", "cauchy", "regularity", "compactness", "weak-type", "all")
+# suites whose sweeps and test batteries are written for d = 1 only
+D1_SUITES = ("regularity", "compactness", "weak-type")
 
 # key: (parser, default, help)
 CONFIG_SCHEMA = {
@@ -222,8 +227,6 @@ class _Pipeline:
             if cfg.modulus and (
                 base.modulus is None or cfg.modulus != base.modulus.kind
             ):
-                from dataclasses import replace
-
                 base = replace(base, modulus=make_modulus(cfg.modulus))
             self._base = base
         return self._base
@@ -254,8 +257,6 @@ def _stability_suite(pipe: _Pipeline):
             deltas = cfg.deltas or (None,)
             for delta in deltas:
                 if delta is None:
-                    from .estimates import field_l1_distance
-
                     grid = make_grid(
                         cfg.d, cfg.R + cfg.T * fa.sup_bound, cfg.h
                     )
@@ -285,8 +286,6 @@ def _regularity_suite(pipe: _Pipeline):
     ens = pipe.ensemble(top, 3.0 * cfg.R)
     field = pipe.mollified(top)
     base = pipe.base_field()
-    from dataclasses import replace
-
     # the flow representative is the top-level ensemble; witness, modulus and
     # divergence data come from the underlying field
     rep_field = replace(
@@ -309,8 +308,6 @@ def _compactness_suite(pipe: _Pipeline):
     base = pipe.base_field()
     top = cfg.levels[-1]
     reports = []
-    from dataclasses import replace
-
     ens = pipe.ensemble(top, 1.5 * cfg.R)
     rep_field = replace(
         pipe.mollified(top),
@@ -342,8 +339,6 @@ def _compactness_suite(pipe: _Pipeline):
 
 def _weak_type_suite(pipe: _Pipeline):
     cfg = pipe.cfg
-    if cfg.d != 1:
-        raise ConfigError("weak-type battery is defined for d = 1")
     region, lam = cfg.R, cfg.R
     grid = make_grid(1, region + lam, cfg.h)
     x = grid.coords()
@@ -371,6 +366,13 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
         raise ConfigError(f"unknown suite {suite!r}; options: {', '.join(SUITES)}")
     if suite in ("cauchy", "all") and len(cfg.levels) < 3:
         raise ConfigError("the cauchy suite needs at least 3 levels")
+    chosen = SUITES[:-1] if suite == "all" else (suite,)
+    one_d = [name for name in chosen if name in D1_SUITES]
+    if cfg.d != 1 and one_d:
+        raise ConfigError(
+            f"the {suite} suite needs d = 1, config has d = {cfg.d} "
+            f"({', '.join(one_d)} implemented for d = 1 only)"
+        )
     out = cfg.out
     try:
         os.makedirs(os.path.join(out, "reports"), exist_ok=True)
@@ -388,7 +390,6 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
         "compactness": _compactness_suite,
         "weak-type": _weak_type_suite,
     }
-    chosen = SUITES[:-1] if suite == "all" else (suite,)
     rows = []
     for name in chosen:
         for report in runners[name](pipe):
@@ -659,6 +660,9 @@ def main(argv=None) -> int:
         return 2
     except FieldError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (EstimateError, NumericsError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

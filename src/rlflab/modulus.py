@@ -192,7 +192,10 @@ class PsiFunctional:
     ``psi_values`` is a vectorized path backed by a cumulative-trapezoid
     table, used by the grid sweeps where millions of evaluations are needed.
     The two paths are cross-validated in the test suite.  Instances are
-    immutable; the lazily built table is a value-idempotent cache.
+    immutable; the lazily built table is a value-idempotent cache.  Its mesh
+    covers ``[0, need]`` by construction, so it is built once per instance
+    and rebuilt, on a longer mesh with the same nodes, only when a query
+    goes past it.
     """
 
     modulus: ModulusOfContinuity
@@ -241,10 +244,13 @@ class PsiFunctional:
 
     # -- bulk path ---------------------------------------------------------
 
-    def _build_table(self, xi_max: float):
+    def _build_table(self, need: float):
         fine = np.arange(0.0, _FINE_END + _FINE_STEP, _FINE_STEP)
+        # arange with stop need + step can end a rounding error short of
+        # need; one more step of headroom puts the last node past it.  The
+        # nodes themselves do not depend on stop.
         coarse = np.arange(
-            fine[-1] + _COARSE_STEP, xi_max + _COARSE_STEP, _COARSE_STEP
+            fine[-1] + _COARSE_STEP, need + 2.0 * _COARSE_STEP, _COARSE_STEP
         )
         mesh = np.concatenate([fine, coarse])
         vals = 1.0 / (eval_rho(self.modulus, mesh) + self.delta)
@@ -260,7 +266,12 @@ class PsiFunctional:
         object.__setattr__(self, "_table", table)
 
     def psi_values(self, xs: np.ndarray, xi_max: float = 16.0) -> np.ndarray:
-        """Vectorized psi_delta over an array of nonnegative arguments."""
+        """Vectorized psi_delta over an array of nonnegative arguments.
+
+        The table covers ``[0, need]`` with ``need = max(xi_max, max(xs) +
+        step)``; it is built on the first call and rebuilt only when a later
+        call needs more than the current mesh covers.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         tab = self._table
         need = max(xi_max, float(xs.max(initial=0.0)) + _COARSE_STEP)

@@ -11,6 +11,8 @@ from rlflab.cli import (
     parse_config,
     run_experiment,
 )
+from rlflab.estimates import EstimateError
+from rlflab.numerics import NumericsError
 from rlflab.reporting import CSV_COLUMNS, make_report
 
 
@@ -99,6 +101,38 @@ class TestRunExperiment:
         cfg.out = str(tmp_path / "out")
         with pytest.raises(ConfigError):
             run_experiment(cfg, "cauchy")
+
+    @pytest.mark.parametrize(
+        "suite", ["regularity", "compactness", "weak-type", "all"]
+    )
+    def test_one_d_suite_rejects_d2(self, tmp_path, capsys, suite):
+        path = write_config(tmp_path, "field = constant\nd = 2\n")
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--config", path, "--suite", suite, "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"the {suite} suite" in err and "d = 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("error", [EstimateError, NumericsError])
+    def test_escaped_error_exits_two(self, tmp_path, monkeypatch, capsys, error):
+        import rlflab.cli as cli
+
+        def broken(pipe):
+            raise error("grid does not cover the region")
+
+        monkeypatch.setitem(cli.__dict__, "_weak_type_suite", broken)
+        path = write_config(tmp_path, "field = constant\n")
+        out = str(tmp_path / "out")
+        code = main(["run", "--config", path, "--suite", "weak-type",
+                     "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {error.__name__}: grid does not cover the region\n"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = parse_config(write_config(tmp_path, FAST_CONSTANT))

@@ -171,6 +171,51 @@ class TestPsi:
             PsiFunctional(LIN, 0.0)
 
 
+class TestPsiBulkTable:
+    # xi_max values whose coarse mesh, ended by arange at xi_max + step,
+    # fell a rounding error short of xi_max and was rebuilt on every call
+    XI_MAXES = (16.0, 3.3, 5.0)
+    XS = np.linspace(0.0, 3.0, 257)
+
+    def test_table_built_once(self):
+        for mod in (LIN, LOG):
+            for xi_max in self.XI_MAXES:
+                fam = PsiFunctional(mod, 0.1)
+                first = fam.psi_values(self.XS, xi_max=xi_max)
+                table = fam._table
+                assert table["mesh_max"] >= xi_max
+                for _ in range(3):
+                    again = fam.psi_values(self.XS, xi_max=xi_max)
+                    assert fam._table is table
+                    assert np.array_equal(again, first)
+
+    def test_reused_table_matches_fresh_functional(self):
+        # one functional serves every xi_max from the table built for the
+        # largest; each answer equals that of a functional built for it
+        fam = PsiFunctional(LOG, 0.1)
+        fam.psi_values(self.XS, xi_max=max(self.XI_MAXES))
+        table = fam._table
+        for xi_max in self.XI_MAXES * 2:
+            got = fam.psi_values(self.XS, xi_max=xi_max)
+            assert fam._table is table
+            fresh = PsiFunctional(LOG, 0.1).psi_values(self.XS, xi_max=xi_max)
+            assert np.array_equal(got, fresh)
+
+    def test_query_past_table_grows_it(self):
+        for mod in (LIN, LOG):
+            fam = PsiFunctional(mod, 0.5)
+            before = fam.psi_values(self.XS, xi_max=3.3)
+            table = fam._table
+            xs = np.array([0.0, 0.01, 0.9, 4.0, 9.5])
+            bulk = fam.psi_values(xs, xi_max=3.3)
+            assert fam._table is not table
+            assert fam._table["mesh_max"] >= 9.5
+            ref = np.array([fam.psi(float(x)) for x in xs])
+            np.testing.assert_allclose(bulk, ref, atol=2e-5, rtol=2e-6)
+            again = fam.psi_values(self.XS, xi_max=3.3)
+            assert np.array_equal(again, before)
+
+
 class TestOsgoodDiagnostic:
     def test_linear_verdict(self):
         eps = [10.0**-k for k in range(1, 7)]
