@@ -4,9 +4,9 @@ Config files are a flat ``key = value`` text format ('#' starts a comment);
 the documented keys and defaults are in ``CONFIG_SCHEMA`` and printed by
 ``rlf-lab run --help``.  Exit codes: 0 all verdicts pass, 1 at least one
 estimate failed, 2 usage or config error, or an estimate or numerics error
-that stopped the run.  Outputs under the chosen
-directory are byte-deterministic for identical configs: per-estimate JSON
-reports, a summary CSV, and fixed-canvas SVG plots with no timestamps.
+that stopped the run.  Outputs under the chosen directory are
+byte-deterministic for identical configs: per-estimate JSON reports, a
+summary CSV, and fixed-canvas SVG plots with no timestamps.
 """
 
 from __future__ import annotations
