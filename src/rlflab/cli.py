@@ -3,8 +3,8 @@
 Config files are a flat ``key = value`` text format ('#' starts a comment);
 the documented keys and defaults are in ``CONFIG_SCHEMA`` and printed by
 ``rlf-lab run --help``.  Exit codes: 0 all verdicts pass, 1 at least one
-estimate failed, 2 usage or config error, or an estimate or numerics error
-that stopped the run.  Outputs under the chosen directory are
+estimate failed, 2 usage or config error, or an estimate, flow, modulus or
+numerics error that stopped the run.  Outputs under the chosen directory are
 byte-deterministic for identical configs: per-estimate JSON reports, a
 summary CSV, and fixed-canvas SVG plots with no timestamps.
 """
@@ -36,8 +36,8 @@ from .fields import (
     mollify,
     weak_type_check,
 )
-from .flow import integrate_ensemble
-from .modulus import MODULUS_KINDS, PsiFunctional, make_modulus
+from .flow import FlowError, integrate_ensemble
+from .modulus import MODULUS_KINDS, ModulusError, PsiFunctional, make_modulus
 from .numerics import NumericsError, ball_measure, make_grid
 from .reporting import reports_to_csv
 
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 SUITES = ("stability", "cauchy", "regularity", "compactness", "weak-type", "all")
-# suites whose sweeps and test batteries are written for d = 1 only
+# d = 1 only: no d > 1 end-to-end run is verified, weak-type battery is 1-d
 D1_SUITES = ("regularity", "compactness", "weak-type")
 
 # key: (parser, default, help)
@@ -176,8 +176,9 @@ def parse_config(path) -> ExperimentConfig:
             f"unknown field id {cfg.field!r}; catalog: "
             + ", ".join(catalog_ids()),
         )
-    if cfg.modulus and cfg.modulus not in MODULUS_KINDS:
-        raise anchored("modulus", f"unknown modulus kind {cfg.modulus!r}")
+    kinds = MODULUS_KINDS[:-1]  # custom-table needs points a config lacks
+    if cfg.modulus and cfg.modulus not in kinds:
+        raise anchored("modulus", f"modulus {cfg.modulus!r} not in {kinds}")
     for key in ("R", "T", "h", "tau", "eta", "slack"):
         if getattr(cfg, key) <= 0.0 and key != "slack":
             raise anchored(key, f"{key} must be positive")
@@ -236,6 +237,15 @@ class _Pipeline:
             self._moll[level] = mollify(self.base_field(), MollifierKernel(level))
         return self._moll[level]
 
+    def representative(self, level: int):
+        """Mollified field carrying the base witness and divergence data."""
+        base = self.base_field()
+        return replace(
+            self.mollified(level),
+            witness=base.witness,
+            div_evaluator=base.div_evaluator,
+        )
+
     def ensemble(self, level: int, radius: float, tau: float | None = None):
         tau = self.cfg.tau if tau is None else tau
         key = (level, round(radius, 12), tau)
@@ -284,16 +294,9 @@ def _regularity_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     top = cfg.levels[-1]
     ens = pipe.ensemble(top, 3.0 * cfg.R)
-    field = pipe.mollified(top)
-    base = pipe.base_field()
-    # the flow representative is the top-level ensemble; witness, modulus and
-    # divergence data come from the underlying field
-    rep_field = replace(
-        field, witness=base.witness, div_evaluator=base.div_evaluator
-    )
     _, report = regularity_set(
         ens,
-        rep_field,
+        pipe.representative(top),
         cfg.R,
         pipe.cfg.effective_epsilon(),
         depth=cfg.radii_depth,
@@ -309,11 +312,7 @@ def _compactness_suite(pipe: _Pipeline):
     top = cfg.levels[-1]
     reports = []
     ens = pipe.ensemble(top, 1.5 * cfg.R)
-    rep_field = replace(
-        pipe.mollified(top),
-        witness=base.witness,
-        div_evaluator=base.div_evaluator,
-    )
+    rep_field = pipe.representative(top)
     for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0):
         reports.append(
             compactness_a(ens, rep_field, r, cfg.R, slack=cfg.slack)
@@ -661,7 +660,7 @@ def main(argv=None) -> int:
     except FieldError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EstimateError, NumericsError) as exc:
+    except (EstimateError, FlowError, ModulusError, NumericsError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from .fields import (
     VectorField,
     WitnessFunction,
     compressibility_constant,
+    dyadic_radii,
     weak_type_check,
 )
 from .flow import TrajectoryEnsemble, sup_distance
@@ -112,11 +113,31 @@ def _require_modulus(field: VectorField) -> ModulusOfContinuity:
     return field.modulus
 
 
-def _center_mask(grid: PointGrid, radius: float) -> np.ndarray:
-    return (
-        np.sqrt(np.sum(grid.points**2, axis=1))
-        <= radius * (1.0 + MEMBERSHIP_SLACK)
-    )
+def _offset_distances(ensemble: TrajectoryEnsemble, rows, radius: float):
+    """|X_t(x + k h) - X_t(x)| for each nonzero lattice offset k in B(r).
+
+    Yields one (len(rows), n_times) array per offset, for the centers x at
+    grid ``rows``.  Every shifted point x + k h must be a grid point: a
+    window is never truncated, and a grid that misses one raises.
+    """
+    grid = ensemble.grid
+    m = grid.half_width
+    slot = grid.embed(np.arange(grid.n_points), fill=-1)
+    centers = grid.indices[rows]
+    here = ensemble.positions[rows]
+    for k in grid.ball_offsets(radius):
+        idx = centers + k
+        nbr = slot[grid.box_index(idx)] if np.abs(idx).max() <= m else -1
+        if np.min(nbr) < 0:
+            raise EstimateError(
+                f"ensemble grid of radius {grid.radius} does not hold every "
+                f"shifted point x + k h with |k h| <= {radius}"
+            )
+        diff = ensemble.positions[nbr] - here
+        dist = np.square(diff[..., 0])
+        for j in range(1, grid.dimension):
+            dist += np.square(diff[..., j])
+        yield np.sqrt(dist, out=dist)
 
 
 def _additive_budget(
@@ -191,7 +212,7 @@ def stability_report(
         raise EstimateError("delta must be positive (fields coincide?)")
 
     psi = PsiFunctional(modulus, float(delta))
-    mask = _center_mask(grid, region_radius)
+    mask = grid.ball_mask(region_radius)
     sup = sup_distance(ens_a, ens_b)[mask]
     lhs = float(
         sum(psi.psi(float(v)) for v in sup) * grid.cell_volume
@@ -293,7 +314,7 @@ def cauchy_diagnostic(
     g_norm_wide = witness.l1_norm(first.times, wide_grid)
     constant = 2.0 * base_l * g_norm_wide + base_l
 
-    mask = _center_mask(grid, region_radius)
+    mask = grid.ball_mask(region_radius)
     region_measure = ball_measure(grid.dimension, region_radius)
     levels = [f.mollification_level for f in moll_fields]
     pairs, deltas, dists, psis, bounds, reports = [], [], [], [], [], []
@@ -384,10 +405,7 @@ def regularity_Q(
     if len(hit) != 1:
         raise EstimateError("x must be a grid point")
     ti = ensemble.time_index(t)
-    mask = (
-        np.sum((grid.points - x) ** 2, axis=1)
-        <= radius * radius * (1.0 + MEMBERSHIP_SLACK)
-    )
+    mask = grid.ball_mask(radius, grid.points - x)
     xt = ensemble.positions[hit[0], ti, :]
     yt = ensemble.positions[mask, ti, :]
     dist = np.sqrt(np.sum((yt - xt[None, :]) ** 2, axis=1))
@@ -396,48 +414,30 @@ def regularity_Q(
     return float(psi.psi_values(dist, xi_max=xi_max).mean())
 
 
-def _q_sweep_1d(
+def _q_sweep(
     ensemble: TrajectoryEnsemble,
     modulus: ModulusOfContinuity,
     radii,
     center_radius: float,
 ):
-    """sup_t Q(t, x, r) for every center x in B(center_radius), per radius.
+    """sup over mesh times and radii of Q(t, x, r) for x in B(center_radius).
 
-    1-d fast path: the ball around a center is a contiguous index window, so
-    the ball averages accumulate over index offsets, vectorized across all
-    centers and mesh times at once.
+    Ball averages accumulate over lattice offsets, vectorized across all
+    centers and mesh times at once; the center itself adds psi(0) = 0.
     """
-    grid = ensemble.grid
-    if grid.dimension != 1:
-        raise EstimateError("sweep fast path requires d = 1")
-    pos = ensemble.positions[:, :, 0]
-    n = grid.n_points
-    h = grid.spacing
-    mask = _center_mask(grid, center_radius)
-    rows = np.flatnonzero(mask)
-    i0, i1 = int(rows[0]), int(rows[-1]) + 1
+    rows = np.flatnonzero(ensemble.grid.ball_mask(center_radius))
     xi_max = 2.0 * ensemble.growth_radius() + 1.0
-    out = {}
+    q_sup = np.zeros(len(rows))
     for r in radii:
-        w = int(np.floor(r / h * (1.0 + MEMBERSHIP_SLACK)))
         psi = PsiFunctional(modulus, float(r))
-        acc = np.zeros((i1 - i0, ensemble.n_times))
-        cnt = np.ones(i1 - i0)  # the center itself, psi(0) = 0
-        for k in range(-w, w + 1):
-            if k == 0:
-                continue
-            a = max(i0, -k)
-            b = min(i1, n - k)
-            if a >= b:
-                continue
-            diff = np.abs(pos[a + k : b + k, :] - pos[a:b, :])
-            vals = psi.psi_values(diff.ravel(), xi_max=xi_max)
-            acc[a - i0 : b - i0, :] += vals.reshape(diff.shape)
-            cnt[a - i0 : b - i0] += 1.0
-        q_sup = (acc / cnt[:, None]).max(axis=1)
-        out[float(r)] = q_sup
-    return rows, out
+        acc = np.zeros((len(rows), ensemble.n_times))
+        count = 1
+        for dist in _offset_distances(ensemble, rows, r):
+            vals = psi.psi_values(dist.ravel(), xi_max=xi_max)
+            acc += vals.reshape(dist.shape)
+            count += 1
+        q_sup = np.maximum(q_sup, (acc / count).max(axis=1))
+    return rows, q_sup
 
 
 @dataclass(frozen=True)
@@ -502,7 +502,7 @@ def regularity_set(
 
     # weak-type constant measured on Phi, exactly the proof's objects:
     # M_{2R} Phi on B(R), integral over B(3R)
-    phi_max = float(phi[_center_mask(grid, region_radius)].max(initial=0.0))
+    phi_max = float(phi[grid.ball_mask(region_radius)].max(initial=0.0))
     if phi_max > 0.0:
         alphas = phi_max * 0.5 ** np.arange(1, 8)
         wt = weak_type_check(
@@ -519,12 +519,8 @@ def regularity_set(
     c_bar = 3.0 * (1.0 + c_d) * base_l * g_norm
     threshold = max(c_bar / epsilon, 1.0)
 
-    radii = [2.0 * region_radius * 0.5**j for j in range(depth + 1)]
-    radii = [r for r in radii if r >= grid.spacing * (1.0 - MEMBERSHIP_SLACK)]
-    rows, sweep = _q_sweep_1d(ensemble, modulus, radii, region_radius)
-    q_max = np.zeros(len(rows))
-    for r in radii:
-        q_max = np.maximum(q_max, sweep[float(r)])
+    radii = dyadic_radii(2.0 * region_radius, grid.spacing, depth)
+    rows, q_max = _q_sweep(ensemble, modulus, radii, region_radius)
     member = q_max <= threshold
     e_rows = rows[member]
     deficit = float((len(rows) - len(e_rows)) * grid.cell_volume)
@@ -616,13 +612,11 @@ def compactness_a(
     if not 0.0 < radius < region_radius / 2.0:
         raise EstimateError("need 0 < r < R/2")
     grid = ensemble.grid
-    if grid.radius < region_radius + radius - MEMBERSHIP_SLACK:
-        raise EstimateError("ensemble grid must cover B(R + r)")
     modulus = _require_modulus(field)
     witness = _require_witness(field)
     horizon = ensemble.horizon
-    rows, sweep = _q_sweep_1d(ensemble, modulus, [radius], region_radius)
-    lhs = float(np.sum(sweep[float(radius)]) * grid.cell_volume)
+    _, q_sup = _q_sweep(ensemble, modulus, [radius], region_radius)
+    lhs = float(np.sum(q_sup) * grid.cell_volume)
 
     r_bar = 1.5 * region_radius + 2.0 * horizon * field.sup_bound
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
@@ -704,31 +698,16 @@ def translation_functional(
     if not 0.0 < radius < region_radius / 2.0:
         raise EstimateError("need 0 < r < R/2")
     grid = ensemble.grid
-    if grid.dimension != 1:
-        raise EstimateError("translation sweep implemented for d = 1")
-    if grid.radius < region_radius + radius - MEMBERSHIP_SLACK:
-        raise EstimateError("ensemble grid must cover B(R + r)")
-    pos = ensemble.positions[:, :, 0]
-    n = grid.n_points
-    h = grid.spacing
-    mask = _center_mask(grid, region_radius)
-    rows = np.flatnonzero(mask)
-    i0, i1 = int(rows[0]), int(rows[-1]) + 1
-    w = int(np.floor(radius / h * (1.0 + MEMBERSHIP_SLACK)))
+    rows = np.flatnonzero(grid.ball_mask(region_radius))
     acc = np.zeros(ensemble.n_times)
-    for k in range(-w, w + 1):
-        if k == 0:
-            continue
-        a, b = max(i0, -k), min(i1, n - k)
-        if a >= b or a < 0 or b + k > n:
-            raise EstimateError("grid does not cover all shifted points")
-        acc += np.abs(pos[a + k : b + k, :] - pos[a:b, :]).sum(axis=0)
-    lhs = float(acc.max() * h * h)
+    for dist in _offset_distances(ensemble, rows, radius):
+        acc += dist.sum(axis=0)
+    lhs = float(acc.max() * grid.cell_volume * grid.cell_volume)
 
     psi = PsiFunctional(modulus, float(radius))
     psi_at_rt = psi.psi(consts.r_tilde)
     g_of_r = consts.r_tilde / psi_at_rt * consts.c_drt
-    rhs = g_of_r * ball_measure(1, radius)
+    rhs = g_of_r * ball_measure(grid.dimension, radius)
     constants = {
         "r": radius,
         "R": region_radius,
@@ -743,7 +722,7 @@ def translation_functional(
         "field": ensemble.field_id,
         "n": ensemble.mollification_level,
         "m": "",
-        "h": h,
+        "h": grid.spacing,
         "tau": ensemble.tau,
         "K": "",
     }

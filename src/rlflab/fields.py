@@ -957,9 +957,7 @@ def maximal_function(
         values = _maximal_1d(grid, samples, radii, values)
     else:
         values = _maximal_nd(grid, samples, radii, values)
-    r_max = float(radii.max())
-    norms = np.sqrt(np.sum(grid.points**2, axis=1))
-    boundary = norms + r_max > grid.radius * (1.0 + MEMBERSHIP_SLACK)
+    boundary = ~grid.ball_mask(grid.radius - float(radii.max()))
     return MaximalFunctionGrid(grid, float(radius_cap), radii, values, boundary)
 
 
@@ -980,23 +978,15 @@ def _maximal_1d(grid, samples, radii, values):
 def _maximal_nd(grid, samples, radii, values):
     from scipy import ndimage
 
-    m = int(np.max(np.abs(grid.indices)))
-    side = 2 * m + 1
-    shape = (side,) * grid.dimension
-    box_vals = np.zeros(shape)
-    box_mask = np.zeros(shape)
-    idx = tuple((grid.indices[:, j] + m) for j in range(grid.dimension))
-    box_vals[idx] = samples
-    box_mask[idx] = 1.0
-    h = grid.spacing
+    box_vals = grid.embed(samples)
+    box_mask = grid.embed(np.ones(grid.n_points))
+    idx = grid.box_index()
     for r in radii:
-        w = int(np.floor(r / h * (1.0 + MEMBERSHIP_SLACK)))
-        rng = np.arange(-w, w + 1)
-        mesh = np.meshgrid(*([rng] * grid.dimension), indexing="ij")
-        foot = (
-            sum(g.astype(np.float64) ** 2 for g in mesh) * h * h
-            <= r * r * (1.0 + MEMBERSHIP_SLACK)
-        ).astype(np.float64)
+        offsets = grid.ball_offsets(r)
+        w = int(np.abs(offsets).max())
+        foot = np.zeros((2 * w + 1,) * grid.dimension)
+        foot[(w,) * grid.dimension] = 1.0  # the center
+        foot[tuple((offsets + w).T)] = 1.0
         sums = ndimage.correlate(box_vals, foot, mode="constant")
         counts = ndimage.correlate(box_mask, foot, mode="constant")
         avg = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
@@ -1025,10 +1015,7 @@ def weak_type_check(
     if grid.radius < region_radius + radius_cap - MEMBERSHIP_SLACK:
         raise FieldError("grid must cover B(region_radius + radius_cap)")
     mf = maximal_function(grid, samples, radius_cap, depth=depth)
-    inside = (
-        np.sqrt(np.sum(grid.points**2, axis=1))
-        <= region_radius * (1.0 + MEMBERSHIP_SLACK)
-    )
+    inside = grid.ball_mask(region_radius)
     integral = grid_integral(grid, np.abs(samples))
     cell = grid.cell_volume
     measures = np.array(
@@ -1143,32 +1130,27 @@ def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn, modulus):
     in-domain grid value.
     """
     grid = mf.grid
-    h = grid.spacing
-    m = int(np.max(np.abs(grid.indices)))
-    side = 2 * m + 1
-    box = np.zeros((side,) * grid.dimension)
-    idx = tuple((grid.indices[:, j] + m) for j in range(grid.dimension))
-    box[idx] = mf.values
+    m = grid.half_width
+    box = grid.embed(mf.values)
+
+    def nearest(pts):
+        ii = np.clip(np.rint(pts / grid.spacing).astype(np.int64), -m, m)
+        return box[grid.box_index(ii)]
 
     def ev(t, pts):
         pts = np.asarray(pts, dtype=np.float64)
-        norms = np.sqrt(np.sum(pts * pts, axis=1))
-        inside = norms <= grid.radius * (1.0 + MEMBERSHIP_SLACK)
+        inside = grid.ball_mask(grid.radius, pts)
         out = np.zeros(pts.shape[0])
-        if inside.any():
-            ii = np.clip(np.rint(pts[inside] / h).astype(np.int64), -m, m) + m
-            # clamp to the nearest in-ball lattice point radially
-            out[inside] = box[tuple(ii[:, j] for j in range(grid.dimension))]
+        out[inside] = nearest(pts[inside])
         far = ~inside
         if far.any():
             if grad_fn is not None:
                 out[far] = np.abs(grad_fn(t, pts[far]))
             else:
-                scaled = pts[far] * (
-                    grid.radius / np.maximum(norms[far], grid.radius)
-                )[:, None]
-                ii = np.clip(np.rint(scaled / h).astype(np.int64), -m, m) + m
-                out[far] = box[tuple(ii[:, j] for j in range(grid.dimension))]
+                # clamp to the nearest in-ball lattice point radially
+                norms = np.sqrt(np.sum(pts[far] ** 2, axis=1))
+                scale_in = grid.radius / np.maximum(norms, grid.radius)
+                out[far] = nearest(pts[far] * scale_in[:, None])
         return scale * out
 
     return WitnessFunction(ev, "calibrated", modulus)

@@ -125,10 +125,13 @@ def integrate_ensemble(
     n_steps = int(round(horizon / tau))
     if abs(n_steps * tau - horizon) > 1e-9 * max(1.0, horizon):
         raise FlowError(f"horizon/step = {horizon}/{tau} is not an integer")
-    times = np.arange(n_steps + 1, dtype=np.float64) * tau
-    n = grid.n_points
-    d = grid.dimension
-    positions = np.empty((n, n_steps + 1, d), dtype=np.float64)
+    shape = (grid.n_points, n_steps + 1, grid.dimension)
+    try:
+        times = np.arange(n_steps + 1, dtype=np.float64) * tau
+        positions = np.empty(shape, dtype=np.float64)
+    except MemoryError:
+        gib = 8.0 * np.prod(shape) / 2**30
+        raise FlowError(f"cannot allocate {shape} positions: {gib:.1f} GiB")
     x = grid.points.copy()
     positions[:, 0, :] = x
     ev = field.evaluator

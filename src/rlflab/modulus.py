@@ -182,6 +182,8 @@ def eval_rho(modulus: ModulusOfContinuity, s):
 _FINE_END = 0.25
 _FINE_STEP = 2e-6
 _COARSE_STEP = 1e-4
+# smallest delta whose bulk values meet atol 2e-5, rtol 2e-6 against psi
+BULK_DELTA_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,13 @@ class PsiFunctional:
 
         The table covers ``[0, need]`` with ``need = max(xi_max, max(xs) +
         step)``; it is built on the first call and rebuilt only when a later
-        call needs more than the current mesh covers.
+        call needs more than the current mesh covers.  Raises
+        :class:`ModulusError` for delta below ``BULK_DELTA_FLOOR``.
         """
+        if self.delta < BULK_DELTA_FLOOR:
+            raise ModulusError(
+                f"bulk psi needs delta >= {BULK_DELTA_FLOOR}, got {self.delta}"
+            )
         xs = np.asarray(xs, dtype=np.float64)
         tab = self._table
         need = max(xi_max, float(xs.max(initial=0.0)) + _COARSE_STEP)

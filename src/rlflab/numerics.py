@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,8 @@ class PointGrid:
 
     ``indices`` has shape (n, d) with integer entries, ordered
     lexicographically; ``points`` is ``indices * spacing``.  Instances are
-    immutable after construction.
+    immutable after construction.  They own the lattice-ball geometry:
+    centered ball masks, nonzero offsets in a ball, the ``indices + m`` box.
     """
 
     dimension: int
@@ -99,6 +101,35 @@ class PointGrid:
         if self.dimension == 1:
             return self.points[:, 0]
         return self.points
+
+    @cached_property
+    def half_width(self) -> int:
+        """m = max |index|: the box ``[-m, m]^d`` holds every grid index."""
+        return int(np.max(np.abs(self.indices)))
+
+    def ball_mask(self, radius: float, points=None) -> np.ndarray:
+        """Mask of ``points`` (default: the grid's own) in centered B(radius)."""
+        pts = self.points if points is None else points
+        norms = np.sqrt(np.sum(pts**2, axis=1))
+        return norms <= radius * (1.0 + MEMBERSHIP_SLACK)
+
+    def ball_offsets(self, radius: float) -> np.ndarray:
+        """Nonzero lattice offsets k, ``|k h| <= radius``, lexicographic."""
+        k = _lattice_ball(self.dimension, radius, self.spacing)
+        return k[np.any(k != 0, axis=1)]
+
+    def box_index(self, indices=None) -> tuple:
+        """Cells ``indices + m`` of the box array (default: the grid's own)."""
+        idx = self.indices if indices is None else indices
+        return tuple((idx + self.half_width).T)
+
+    def embed(self, values, fill=0.0) -> np.ndarray:
+        """Per-point ``values`` at ``indices + m`` in a ``(2m + 1)^d`` box."""
+        values = np.asarray(values)
+        shape = (2 * self.half_width + 1,) * self.dimension + values.shape[1:]
+        box = np.full(shape, fill, dtype=values.dtype)
+        box[self.box_index()] = values
+        return box
 
     def __eq__(self, other) -> bool:  # structural equality for mesh checks
         if not isinstance(other, PointGrid):
@@ -138,15 +169,19 @@ def make_grid(dimension: int, radius: float, spacing: float) -> PointGrid:
         raise GridError(
             f"spacing {spacing} must be smaller than radius {radius}"
         )
+    indices = _lattice_ball(dimension, radius, spacing)
+    points = indices.astype(np.float64) * spacing
+    return PointGrid(dimension, float(spacing), float(radius), indices, points)
+
+
+def _lattice_ball(dimension: int, radius: float, spacing: float) -> np.ndarray:
+    """Integer vectors i with ``|i * spacing| <= radius``, lexicographic."""
     m = int(np.floor(radius / spacing * (1.0 + MEMBERSHIP_SLACK)))
     axis = np.arange(-m, m + 1, dtype=np.int64)
     mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
     indices = np.stack(mesh, axis=-1).reshape(-1, dimension)
     sq = np.sum((indices.astype(np.float64) * spacing) ** 2, axis=1)
-    keep = sq <= radius * radius * (1.0 + MEMBERSHIP_SLACK)
-    indices = indices[keep]
-    points = indices.astype(np.float64) * spacing
-    return PointGrid(dimension, float(spacing), float(radius), indices, points)
+    return indices[sq <= radius * radius * (1.0 + MEMBERSHIP_SLACK)]
 
 
 def ball_measure(dimension: int, radius: float) -> float:
@@ -156,17 +191,6 @@ def ball_measure(dimension: int, radius: float) -> float:
     if radius < 0.0:
         raise GridError("radius must be nonnegative")
     return BALL_VOLUME_COEFF[dimension] * radius**dimension
-
-
-def ball_points_mask(grid: PointGrid, center, radius: float) -> np.ndarray:
-    """Boolean mask of grid points inside the closed ball B(center, radius)."""
-    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    if c.shape != (grid.dimension,):
-        raise GridError(
-            f"center must have {grid.dimension} coordinates, got {c.shape}"
-        )
-    sq = np.sum((grid.points - c[None, :]) ** 2, axis=1)
-    return sq <= radius * radius * (1.0 + MEMBERSHIP_SLACK)
 
 
 def ball_average(
@@ -182,7 +206,12 @@ def ball_average(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] != grid.n_points:
         raise GridError("samples length does not match grid")
-    mask = ball_points_mask(grid, center, radius)
+    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
+    if c.shape != (grid.dimension,):
+        raise GridError(
+            f"center must have {grid.dimension} coordinates, got {c.shape}"
+        )
+    mask = grid.ball_mask(radius, grid.points - c)
     if not mask.any():
         raise EmptyBallError(
             f"no grid point inside ball of radius {radius} at {center}"

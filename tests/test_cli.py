@@ -63,6 +63,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(path)
 
+    def test_custom_table_modulus_rejected(self, tmp_path):
+        path = write_config(tmp_path, "R = 1.0\nmodulus = custom-table\n")
+        with pytest.raises(ConfigError, match=r":2: modulus 'custom-table' not in"):
+            parse_config(path)
+
 
 FAST_CONSTANT = (
     "field = constant\nvalue = 1.0\nlevels = 4,8\n"
@@ -133,6 +138,39 @@ class TestRunExperiment:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {error.__name__}: grid does not cover the region\n"
+
+    def test_delta_below_bulk_floor_exits_two(self, tmp_path, capsys):
+        # compactness radius R/16 = 6.25e-4 is below the bulk psi floor
+        path = write_config(
+            tmp_path,
+            "field = constant\nR = 0.01\nh = 0.0005\nT = 0.1\ntau = 0.01\n",
+        )
+        code = main(["run", "--config", path, "--suite", "compactness",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModulusError: bulk psi needs delta")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_failed_allocation_exits_two(self, tmp_path, monkeypatch, capsys):
+        empty = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 3:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        path = write_config(
+            tmp_path, "field = constant\nd = 3\nh = 0.25\ntau = 0.01\n"
+        )
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FlowError: cannot allocate")
+        assert "(257, 101, 3) positions" in err and "GiB" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = parse_config(write_config(tmp_path, FAST_CONSTANT))

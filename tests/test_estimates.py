@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rlflab.estimates import (
     EstimateError,
+    _q_sweep,
     cauchy_diagnostic,
     compactness_a,
     field_l1_distance,
@@ -190,13 +192,19 @@ class TestRegularitySet:
             regularity_set(ens_b3_top, moll[32], 1.0, 5.0)
 
 
+# (d, h) pairs for the identity-flow sweeps; d = 2 takes a coarser spacing
+# so the offset count stays small
+DIMS = pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.05)], ids=["d1", "d2"])
+
+
 class TestCompactness:
-    def test_identity_flow(self):
-        f = catalog_field("constant", 1, value=0.0)
-        grid = make_grid(1, 1.5, 0.01)
+    @DIMS
+    def test_identity_flow(self, d, h):
+        f = catalog_field("constant", d, value=0.0)
+        grid = make_grid(d, 1.5, h)
         ens = integrate_ensemble(f, grid, 1.0, 0.01)
         rep = compactness_a(ens, f, 0.25, 1.0)
-        assert rep.lhs <= ball_measure(1, 1.0)
+        assert rep.lhs <= ball_measure(d, 1.0)
         assert rep.passed
 
     def test_translation_invariance_constant_field(self):
@@ -215,17 +223,29 @@ class TestCompactness:
 
 
 class TestTranslation:
-    def test_identity_flow_closed_form(self):
-        grid = make_grid(1, 1.5, 0.01)
-        f = catalog_field("constant", 1, value=0.0)
+    @DIMS
+    def test_identity_flow_closed_form(self, d, h):
+        grid = make_grid(d, 1.5, h)
+        f = catalog_field("constant", d, value=0.0)
         ens = integrate_ensemble(f, grid, 1.0, 0.01)
-        consts = translation_constants(f, [f], 1.0, 1.0, 0.01, ens.times)
+        consts = translation_constants(f, [f], 1.0, 1.0, h, ens.times)
         rep = translation_functional(ens, 0.25, 1.0, consts, LIN)
-        # oracle: sum over offsets |k| <= 25 and rows |x| <= 1 of |k| h * h^2
-        h = 0.01
-        n_rows = 201
-        offset_sum = 2.0 * sum(k * h for k in range(1, 26))
-        expect = n_rows * h * h * offset_sum
+        # oracle: each row |x| <= 1 sees every integer offset 0 < |k| <= r/h
+        # at distance |k| h, weighted by h^d for x and again for z
+        w, rows = round(0.25 / h), round(1.0 / h)
+        n_rows = sum(
+            1
+            for i in itertools.product(range(-rows, rows + 1), repeat=d)
+            if sum(c * c for c in i) <= rows * rows
+        )
+        offset_sum = sum(
+            math.sqrt(sum(c * c for c in k)) * h
+            for k in itertools.product(range(-w, w + 1), repeat=d)
+            if 0 < sum(c * c for c in k) <= w * w
+        )
+        expect = n_rows * h**d * h**d * offset_sum
+        if d == 1:
+            assert n_rows == 201
         assert rep.lhs == pytest.approx(expect, rel=1e-12)
         assert rep.passed
 
@@ -254,6 +274,68 @@ class TestTranslation:
             assert rep.passed
             gs.append(rep.constants["g_of_r"])
         assert all(a > b for a, b in zip(gs, gs[1:]))
+
+
+class TestOffsetSweep:
+    """The lattice-offset sweep in d = 2 against pointwise oracles."""
+
+    @pytest.fixture(scope="class")
+    def linear_2d(self):
+        f = catalog_field("linear", 2, slope=-1.0)
+        grid = make_grid(2, 0.6, 0.05)
+        return f, integrate_ensemble(f, grid, 0.2, 0.02)
+
+    def test_q_sweep_matches_regularity_Q(self, linear_2d):
+        _, ens = linear_2d
+        r = 0.15
+        rows, sweep = _q_sweep(ens, LIN, [r], 0.2)
+        assert len(rows) == 49  # lattice points of B(4 h)
+        for row, q_sup in zip(rows, sweep):
+            x = ens.grid.points[row]
+            oracle = max(regularity_Q(ens, LIN, x, r, t) for t in ens.times)
+            assert q_sup == pytest.approx(oracle, abs=1e-12)
+
+    def test_translation_matches_pair_sum(self, linear_2d):
+        f, ens = linear_2d
+        grid = ens.grid
+        r, region = 0.15, 0.4
+        consts = translation_constants(
+            f, [f], region, ens.horizon, grid.spacing, ens.times
+        )
+        rep = translation_functional(ens, r, region, consts, LIN)
+        centers = np.flatnonzero(
+            np.linalg.norm(grid.points, axis=1) <= region * (1 + 1e-12)
+        )
+        sep = np.linalg.norm(
+            grid.points[centers, None, :] - grid.points[None, :, :], axis=2
+        )
+        ia, ib = np.nonzero((sep > 0.0) & (sep <= r * (1 + 1e-12)))
+        dist = np.linalg.norm(
+            ens.positions[centers[ia]] - ens.positions[ib], axis=2
+        )
+        expect = dist.sum(axis=0).max() * grid.cell_volume**2
+        assert rep.lhs == pytest.approx(expect, rel=1e-12)
+
+    def test_missing_shifted_point_raises(self, linear_2d):
+        f, ens = linear_2d
+        # centers in B(0.5) shifted by up to 0.2 reach past the grid's 0.6
+        with pytest.raises(EstimateError, match="shifted point"):
+            compactness_a(ens, f, 0.2, 0.5)
+        consts = translation_constants(
+            f, [f], 0.5, ens.horizon, ens.grid.spacing, ens.times
+        )
+        with pytest.raises(EstimateError, match="shifted point"):
+            translation_functional(ens, 0.2, 0.5, consts, LIN)
+
+    def test_regularity_set_identity_flow(self):
+        f = catalog_field("constant", 2, value=0.0)
+        grid = make_grid(2, 1.5, 0.1)
+        ens = integrate_ensemble(f, grid, 0.2, 0.02)
+        reg, rep = regularity_set(ens, f, 0.5, 0.2, n_pair_samples=2000)
+        assert reg.deficit == 0.0
+        assert reg.size == 81  # every lattice point of B(5 h)
+        assert reg.threshold == 1.0
+        assert rep.passed
 
 
 class TestPsiChainOnFlow:

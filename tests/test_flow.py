@@ -97,6 +97,17 @@ class TestIntegration:
         with pytest.raises(FlowError):
             integrate_ensemble(f, grid, 1.0, 0.3)
 
+    def test_failed_allocation_names_shape(self, monkeypatch):
+        f = catalog_field("constant", 1)
+        grid = make_grid(1, 1.0, 0.1)
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(FlowError, match=r"\(21, 11, 1\) positions: 0\.0 GiB"):
+            integrate_ensemble(f, grid, 1.0, 0.1)
+
 
 class TestSupDistance:
     def test_identical(self, ens_b1):

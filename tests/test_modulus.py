@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rlflab.modulus import (
+    BULK_DELTA_FLOOR,
     LOG_BREAK,
     LOGLOG_BREAK,
     ModulusError,
@@ -169,6 +170,21 @@ class TestPsi:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ModulusError):
             PsiFunctional(LIN, 0.0)
+
+    def test_bulk_rejects_delta_below_floor(self):
+        xs = np.array([0.0, 0.01, 0.5])
+        for mod in (LIN, LOG, LOGLOG):
+            fam = PsiFunctional(mod, 0.5 * BULK_DELTA_FLOOR)
+            with pytest.raises(ModulusError, match="delta >= 0.001"):
+                fam.psi_values(xs, xi_max=1.0)
+            assert fam.psi(0.5) > 0.0  # the adaptive path has no floor
+            at_floor = PsiFunctional(mod, BULK_DELTA_FLOOR)
+            np.testing.assert_allclose(
+                at_floor.psi_values(xs, xi_max=1.0),
+                [at_floor.psi(float(x)) for x in xs],
+                atol=2e-5,
+                rtol=2e-6,
+            )
 
 
 class TestPsiBulkTable:
