@@ -12,6 +12,7 @@ summary CSV, and fixed-canvas SVG plots with no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -143,6 +144,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse {key} value {val!r}"
             ) from None
+        if parser is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
         line_of[key] = lineno
 
     cfg = ExperimentConfig()
@@ -163,6 +166,8 @@ def parse_config(path) -> ExperimentConfig:
                     raise ConfigError(
                         f"{path}:{line_of[key]}: deltas must be numbers"
                     ) from None
+                if not all(map(math.isfinite, val)):
+                    raise ConfigError(f"{path}:{line_of[key]}: deltas must be finite")
             else:
                 val = ()
         setattr(cfg, key, val)
@@ -638,8 +643,8 @@ def main(argv=None) -> int:
             print(f"  {kind}")
         return 0
     if args.command == "psi":
-        if args.delta <= 0.0 or args.xi < 0.0:
-            print("psi needs delta > 0 and xi >= 0", file=sys.stderr)
+        if not (0.0 < args.delta < math.inf and 0.0 <= args.xi < math.inf):
+            print("psi needs finite delta > 0 and xi >= 0", file=sys.stderr)
             return 2
         fam = PsiFunctional(make_modulus(args.modulus), args.delta)
         print(repr(fam.psi(args.xi)))
@@ -650,8 +655,8 @@ def main(argv=None) -> int:
         if args.out:
             cfg.out = args.out
         if args.slack is not None:
-            if args.slack < 0.0:
-                raise ConfigError("slack override must be nonnegative")
+            if not 0.0 <= args.slack < math.inf:
+                raise ConfigError("slack override must be finite and nonnegative")
             cfg.slack = args.slack / 100.0
         return run_experiment(cfg, args.suite)
     except ConfigError as exc:

@@ -23,12 +23,16 @@ small headroom factor (1.5%) so that the certificate also covers pairs that
 the finite calibration sample missed; the raw measured constants are returned
 unmodified and recorded in reports.
 
-Performance note: V_K is evaluated through a hybrid scheme, exact low
-frequencies (k <= 16) plus a piecewise-linear table of the high-frequency
-tail at 1e-6 spacing.  The worst-case table error is bounded by
-``step / (2 (k0 + 1))`` from slope breaks of the first tail term plus a
-curvature term below 1e-12, about 3e-8 total, which is negligible against
-every tolerance asserted downstream.  Mollified evaluators use kernel
+Performance note: V_K is even and pi-periodic, so every input is folded
+onto the half period [0, pi/2] and evaluated through a hybrid scheme, exact
+low frequencies (k <= 16) plus a piecewise-linear table of the
+high-frequency tail at 1e-6 spacing (about 12.6 MB on disk).  The table
+error is ``step / (2 (k0 + 1))`` from slope breaks of the first tail term
+plus a curvature term below 1e-12, about 3e-8 total, except within a step
+of x = p pi / q for small q, where every tail term with q | k breaks slope
+at once: for K = 1000 it reaches 9.0e-7 next to pi/2 and 6.8e-7 next to
+pi/3, and about 3e-5 of uniformly drawn points exceed 5e-8.  No error
+budget carries that excess yet.  Mollified evaluators use kernel
 weights normalized to unit mass, so they are convex combinations of field
 values: constants mollify exactly, sup bounds are inherited exactly, and the
 witness-transfer inequality is preserved by construction.
@@ -36,8 +40,10 @@ witness-transfer inequality is preserved by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,11 +114,21 @@ class CalibrationError(FieldError):
 
 SERIES_DIRECT_TERMS = 16
 SERIES_TAIL_STEP = 1e-6
-SERIES_DOMAIN = 6.0
+# every term |sin(k x)|/k^2 is even and pi-periodic, so [0, pi/2] covers R
+SERIES_DOMAIN = math.pi / 2
 _CHUNK = 1 << 17
 
-_TAIL_CACHE: dict = {}
 _C2_CACHE: dict = {}
+
+
+def _chunked(fn, x):
+    """fn over float64 ``x`` in _CHUNK-sized pieces; a scalar gives a float."""
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, len(flat), _CHUNK):
+        out[i : i + _CHUNK] = fn(flat[i : i + _CHUNK])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _series_chunk(x: np.ndarray, k_from: int, k_to: int) -> np.ndarray:
@@ -138,16 +154,28 @@ def _series_chunk(x: np.ndarray, k_from: int, k_to: int) -> np.ndarray:
     return acc
 
 
+def _deriv_chunk(x: np.ndarray, terms: int) -> np.ndarray:
+    """sum_{k<=terms} cos(k x) sign(sin(k x)) / k by the same recurrence."""
+    two_c = 2.0 * np.cos(x)
+    s_prev = np.zeros_like(x)
+    c_prev = np.ones_like(x)
+    s_cur = np.sin(x)
+    c_cur = np.cos(x)
+    acc = np.zeros_like(x)
+    k = 1
+    while True:
+        acc += c_cur * np.sign(s_cur) / k
+        if k == terms:
+            break
+        s_prev, s_cur = s_cur, two_c * s_cur - s_prev
+        c_prev, c_cur = c_cur, two_c * c_cur - c_prev
+        k += 1
+    return acc
+
+
 def series_direct(x, terms: int) -> np.ndarray:
     """Exact partial sum V_terms at arbitrary points (chunked)."""
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    for i in range(0, len(flat), _CHUNK):
-        out[i : i + _CHUNK] = _series_chunk(flat[i : i + _CHUNK], 1, terms)
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if scalar else out
+    return _chunked(lambda xa: _series_chunk(xa, 1, terms), x)
 
 
 def series_deriv_direct(x, terms: int) -> np.ndarray:
@@ -156,29 +184,7 @@ def series_deriv_direct(x, terms: int) -> np.ndarray:
     Defined off the finite set of corner points of the truncated series;
     at a corner the sign convention sign(0) = 0 is used.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    for i in range(0, len(flat), _CHUNK):
-        xa = flat[i : i + _CHUNK]
-        two_c = 2.0 * np.cos(xa)
-        s_prev = np.zeros_like(xa)
-        c_prev = np.ones_like(xa)
-        s_cur = np.sin(xa)
-        c_cur = np.cos(xa)
-        acc = np.zeros_like(xa)
-        k = 1
-        while True:
-            acc += c_cur * np.sign(s_cur) / k
-            if k == terms:
-                break
-            s_prev, s_cur = s_cur, two_c * s_cur - s_prev
-            c_prev, c_cur = c_cur, two_c * c_cur - c_prev
-            k += 1
-        out[i : i + _CHUNK] = acc
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if scalar else out
+    return _chunked(lambda xa: _deriv_chunk(xa, terms), x)
 
 
 def _tail_cache_path(terms: int) -> str:
@@ -187,52 +193,61 @@ def _tail_cache_path(terms: int) -> str:
     )
     name = (
         f"tail_K{terms}_k{SERIES_DIRECT_TERMS}"
-        f"_step{SERIES_TAIL_STEP:g}_dom{SERIES_DOMAIN:g}.npy"
+        f"_step{SERIES_TAIL_STEP:g}_halfpi.npy"
     )
     return os.path.join(cache_dir, name)
 
 
-def _tail_table(terms: int) -> np.ndarray:
-    """Tail sum_{k>k0} |sin(k x)|/k^2 tabulated on [0, SERIES_DOMAIN].
-
-    The table is deterministic, so it is memoized on disk (~45 MB for the
-    default truncation) as well as in process.
-    """
-    key = (terms, SERIES_DIRECT_TERMS, SERIES_TAIL_STEP, SERIES_DOMAIN)
-    table = _TAIL_CACHE.get(key)
-    if table is not None:
-        return table
-    path = _tail_cache_path(terms)
-    n = int(round(SERIES_DOMAIN / SERIES_TAIL_STEP)) + 2
-    if os.path.exists(path):
-        try:
-            table = np.load(path)
-        except (OSError, ValueError):
-            table = None
-        if table is not None and table.shape == (n,):
-            _TAIL_CACHE[key] = table
-            return table
-    xs = np.arange(n, dtype=np.float64) * SERIES_TAIL_STEP
-    out = np.empty_like(xs)
-    k0 = SERIES_DIRECT_TERMS
-    for i in range(0, n, _CHUNK):
-        out[i : i + _CHUNK] = _series_chunk(
-            xs[i : i + _CHUNK], k0 + 1, terms
-        )
-    _TAIL_CACHE[key] = out
+def _save_atomic(path: str, table: np.ndarray) -> None:
+    """Write through a temp file and rename, so no reader sees half a table."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        np.save(path, out)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     except OSError:
-        pass  # cache is an optimization only
-    return out
+        return  # the cache is an optimization only
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, table)
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+
+
+@functools.cache
+def _tail_table(terms: int) -> np.ndarray:
+    """Tail sum_{k>k0} |sin(k x)|/k^2 tabulated on the half period
+    [0, SERIES_DOMAIN] = [0, pi/2].
+
+    The table is deterministic, so it is memoized on disk (about 12.6 MB)
+    as well as in process.  A disk copy is used only if its shape and nine
+    recomputed entries, the first and the last included, match; otherwise
+    it is rebuilt and overwritten.  The match has a tolerance because
+    vectorized sin/cos may differ by an ulp between array lengths.
+    """
+    n = int(round(SERIES_DOMAIN / SERIES_TAIL_STEP)) + 2
+    idx = np.linspace(0, n - 1, 9).round().astype(np.int64)
+    fresh = _series_chunk(idx * SERIES_TAIL_STEP, SERIES_DIRECT_TERMS + 1, terms)
+    path = _tail_cache_path(terms)
+    try:
+        table = np.load(path)
+    except (OSError, ValueError, EOFError):
+        table = np.empty(0)  # missing or unreadable: rebuild
+    if table.shape == (n,) and np.all(np.abs(table[idx] - fresh) <= 1e-12):
+        return table
+    xs = np.arange(n, dtype=np.float64) * SERIES_TAIL_STEP
+    table = _chunked(
+        lambda xa: _series_chunk(xa, SERIES_DIRECT_TERMS + 1, terms), xs
+    )
+    _save_atomic(path, table)
+    return table
 
 
 class SeriesEvaluator:
     """Hybrid V_K evaluator: exact k <= 16 plus tabulated tail lerp.
 
-    Falls back to the exact chunked sum outside the tabulated domain, so it
-    is total and deterministic everywhere; non-finite inputs yield NaN.
+    V_K is even and pi-periodic, so every input is folded onto the half
+    period [0, pi/2] first (the identity there) and one path serves all of
+    R; there is no far-field fallback.  Non-finite inputs yield NaN.
     """
 
     def __init__(self, terms: int):
@@ -244,30 +259,21 @@ class SeriesEvaluator:
 
     def __call__(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        ax = np.abs(np.atleast_1d(arr))
-        shape = ax.shape
-        ax = ax.ravel()
+        ax = np.abs(arr.ravel())
         bad = ~np.isfinite(ax)
         if bad.any():
             ax = np.where(bad, 0.0, ax)
+        ax = np.fmod(ax, math.pi)
+        ax = np.minimum(ax, math.pi - ax)
         out = _series_chunk(ax, 1, self.k0)
         if self._tail is not None:
-            inside = ax <= SERIES_DOMAIN
-            xi = ax[inside]
-            idx = (xi / SERIES_TAIL_STEP).astype(np.int64)
-            frac = xi / SERIES_TAIL_STEP - idx
+            idx = (ax / SERIES_TAIL_STEP).astype(np.int64)
+            frac = ax / SERIES_TAIL_STEP - idx
             tail = self._tail
-            out[inside] += tail[idx] * (1.0 - frac) + tail[idx + 1] * frac
-            if not inside.all():
-                far = ~inside
-                out[far] += _series_chunk(
-                    ax[far], self.k0 + 1, self.terms
-                )
+            out += tail[idx] * (1.0 - frac) + tail[idx + 1] * frac
         if bad.any():
             out[bad] = np.nan
-        out = out.reshape(shape)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def measure_osgood_constant(
@@ -351,9 +357,6 @@ def constant_witness(value: float, modulus=None) -> WitnessFunction:
 # mollifier kernels
 # ==========================================================================
 
-_BUMP_NORM_CACHE: dict = {}
-
-
 def _bump(u: np.ndarray) -> np.ndarray:
     """Unnormalized radial bump exp(-1/(1-|u|^2)) supported on |u| < 1."""
     u = np.asarray(u, dtype=np.float64)
@@ -364,11 +367,9 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _bump_normalizer(dimension: int) -> float:
     """1 / integral of the bump over the unit ball, per dimension."""
-    cached = _BUMP_NORM_CACHE.get(dimension)
-    if cached is not None:
-        return cached
     if dimension == 1:
         total = integrate_1d(
             lambda u: math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1 else 0.0,
@@ -400,9 +401,7 @@ def _bump_normalizer(dimension: int) -> float:
         )
     else:
         raise FieldError("kernel dimensions stop at 3")
-    c = 1.0 / total
-    _BUMP_NORM_CACHE[dimension] = c
-    return c
+    return 1.0 / total
 
 
 @dataclass(frozen=True)
@@ -738,28 +737,26 @@ def _make_combined(
     **cal_kwargs,
 ):
     sob = _make_sobolev(dimension, alpha=alpha, cap=cap, **cal_kwargs)
-    series = SeriesEvaluator(terms)
-    mod = make_modulus("log")
-    c2 = measure_osgood_constant(terms, mod)
+    osc = _make_osgood_sum(dimension, terms, witness_headroom)
+    c2 = osc.params["c2_measured"]
     c2d = c2 * dimension * witness_headroom
     if c2d <= 1.0:
         raise FieldError("combined witness needs C2 * d > 1")
     g1 = sob.witness
 
     def ev(t, pts):
-        return sob.evaluator(t, pts) + series(pts)
+        return sob.evaluator(t, pts) + osc.evaluator(t, pts)
 
     def ev_exact(t, pts):
-        return sob.evaluator(t, pts) + series_direct(pts, terms)
+        return sob.evaluator(t, pts) + osc.exact_evaluator(t, pts)
 
     def div(t, pts):
-        osc = series_deriv_direct(np.abs(pts), terms) * np.sign(pts)
-        return sob.div_evaluator(t, pts) + osc.sum(axis=1)
+        return sob.div_evaluator(t, pts) + osc.div_evaluator(t, pts)
 
     def wit_ev(t, pts):
         return c2d * (1.0 + g1(t, pts))
 
-    witness = WitnessFunction(wit_ev, "calibrated", mod)
+    witness = WitnessFunction(wit_ev, "calibrated", osc.modulus)
     return VectorField(
         dimension,
         "combined",
@@ -773,7 +770,7 @@ def _make_combined(
         cap + PI2_OVER_6,
         ev,
         witness=witness,
-        modulus=mod,
+        modulus=osc.modulus,
         div_evaluator=div,
         singular_points=sob.singular_points,
         exact_evaluator=ev_exact,
@@ -804,18 +801,15 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     d = field.dimension
     m = len(w)
 
-    def ev(t, pts):
-        shifted = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, d)
-        vals = field.evaluator(t, shifted).reshape(-1, m, d)
-        return np.einsum("nmd,m->nd", vals, w)
+    def convolved(base_ev):
+        def ev(t, pts):
+            shifted = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, d)
+            vals = np.asarray(base_ev(t, shifted), np.float64).reshape(-1, m, d)
+            return np.einsum("nmd,m->nd", vals, w)
+
+        return ev
 
     base_exact = field.exact_evaluator
-
-    def ev_exact(t, pts):
-        shifted = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, d)
-        vals = np.asarray(base_exact(t, shifted), np.float64).reshape(-1, m, d)
-        return np.einsum("nmd,m->nd", vals, w)
-
     witness = None
     if field.witness is not None:
         base_w = field.witness
@@ -829,12 +823,12 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
 
     return replace(
         field,
-        evaluator=ev,
+        evaluator=convolved(field.evaluator),
         witness=witness,
         div_evaluator=None,
         mollification_level=kernel.level,
         singular_points=(),
-        exact_evaluator=ev_exact if base_exact is not None else None,
+        exact_evaluator=convolved(base_exact) if base_exact is not None else None,
         params={
             **field.params,
             "kernel_level": kernel.level,
@@ -1078,9 +1072,7 @@ def calibrate_witness_constant(
     half = n_pairs // 2
     ia_u = rng.integers(0, grid.n_points, half)
     ib_u = rng.integers(0, grid.n_points, half)
-    ia_s = rng.integers(0, grid.n_points, n_pairs - half)
-    offsets = rng.integers(1, 9, n_pairs - half)
-    ib_s = np.clip(ia_s + offsets, 0, grid.n_points - 1)
+    ia_s, ib_s = _near_pairs(grid, n_pairs - half, rng)
     ia = np.concatenate([ia_u, ia_s])
     ib = np.concatenate([ib_u, ib_s])
     keep = ia != ib
@@ -1119,6 +1111,21 @@ def calibrate_witness_constant(
         },
     )
     return c_hat, enriched
+
+
+def _near_pairs(grid: PointGrid, n: int, rng):
+    """Up to n row pairs (a, b), b = a + k with k a lexicographically positive
+    lattice offset, |k| <= 8 h; b is clipped to [-m, m]^d and dropped if off
+    the grid.  In d = 1 this is the clipped row offset ``a + 1..8``."""
+    offsets = grid.ball_offsets(8 * grid.spacing)
+    offsets = offsets[len(offsets) // 2 :]  # -k sorts before k
+    ia = rng.integers(0, grid.n_points, n)
+    m = grid.half_width
+    k = offsets[rng.integers(0, len(offsets), n)]
+    target = np.clip(grid.indices[ia] + k, -m, m)
+    ib = grid.embed(np.arange(grid.n_points), fill=-1)[grid.box_index(target)]
+    on_grid = ib >= 0
+    return ia[on_grid], ib[on_grid]
 
 
 def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn, modulus):

@@ -277,6 +277,59 @@ class TestSubcommands:
         assert main(["frobnicate"]) == 2
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("R = nan\n", 1),
+            ("h = 0.05\nT = nan\n", 2),
+            ("h = nan\n", 1),
+            ("field = constant\nvalue = nan\n", 2),
+            ("field = linear\nslope = nan\n", 2),
+            ("slack = nan\n", 1),
+            ("R = inf\n", 1),
+            ("deltas = 0.1,nan\n", 1),
+        ],
+    )
+    def test_config_value_exits_two(self, tmp_path, capsys, text, line):
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, text),
+                     "--suite", "stability", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"exp.cfg:{line}: " in err and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "--modulus", "log", "--delta", "nan", "--xi", "1"],
+            ["psi", "--modulus", "log", "--delta", "0.1", "--xi", "inf"],
+            ["psi", "--modulus", "log", "--delta", "inf", "--xi", "1"],
+            ["psi", "--modulus", "log", "--delta", "0.1", "--xi", "nan"],
+        ],
+    )
+    def test_psi_argument_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "finite" in captured.err
+
+    def test_slack_override_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, FAST_CONSTANT),
+                     "--suite", "stability", "--out", str(out),
+                     "--slack", "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "slack override must be finite" in err
+        assert not out.exists()
+
+
 class TestFullPipeline:
     def test_all_suites_constant_field(self, tmp_path):
         text = (

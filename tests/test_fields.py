@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from rlflab.fields import (
+    SERIES_TAIL_STEP,
     CalibrationError,
     FieldError,
     MollifierKernel,
+    SeriesEvaluator,
+    _near_pairs,
+    _tail_cache_path,
+    _tail_table,
     calibrate_witness_constant,
     catalog_field,
     divergence_negative_part,
@@ -46,16 +51,44 @@ class TestSeries:
         assert osgood.sup_bound == pytest.approx(PI2_6)
 
     def test_hybrid_matches_direct(self, osgood):
-        xs = np.random.default_rng(5).uniform(-5.9, 5.9, 3000)
-        hybrid = osgood(0.0, xs[:, None])[:, 0]
-        exact = series_direct(xs, 1000)
-        assert np.max(np.abs(hybrid - exact)) <= 5e-8
+        # far points read the half-period table through the fold
+        for span in (5.9, 60.0):
+            xs = np.random.default_rng(5).uniform(-span, span, 3000)
+            hybrid = osgood(0.0, xs[:, None])[:, 0]
+            exact = series_direct(xs, 1000)
+            assert np.max(np.abs(hybrid - exact)) <= 5e-8
 
     def test_far_outside_table_falls_back(self, osgood):
         xs = np.array([[7.5], [-11.0]])
         np.testing.assert_allclose(
             osgood(0.0, xs)[:, 0], series_direct(xs[:, 0], 1000), atol=1e-12
         )
+
+    def test_table_covers_half_period(self):
+        assert len(_tail_table(100)) == round(math.pi / 2 / SERIES_TAIL_STEP) + 2
+
+    @pytest.mark.parametrize("planted", ["zeros", "K100", "empty"])
+    def test_wrong_disk_table_is_rebuilt(self, tmp_path, monkeypatch, planted):
+        monkeypatch.setenv("RLFLAB_CACHE", str(tmp_path))
+        _tail_table.cache_clear()
+        try:
+            path = _tail_cache_path(200)
+            if planted == "empty":
+                open(path, "wb").close()
+            elif planted == "zeros":
+                np.save(path, np.zeros_like(_tail_table(100)))
+            else:  # right shape, wrong truncation
+                np.save(path, _tail_table(100))
+            _tail_table.cache_clear()
+            series = SeriesEvaluator(200)
+            xs = np.random.default_rng(9).uniform(-3.0, 3.0, 2000)
+            assert np.max(np.abs(series(xs) - series_direct(xs, 200))) <= 5e-8
+            np.testing.assert_array_equal(np.load(path), _tail_table(200))
+            # rewritten through a renamed temp file: no temp file is left
+            tables = {path, _tail_cache_path(100)}
+            assert {str(p) for p in tmp_path.iterdir()} <= tables
+        finally:
+            _tail_table.cache_clear()
 
     def test_c2_measured_finite_and_stable(self):
         c_small = measure_osgood_constant(100)
@@ -373,6 +406,22 @@ class TestCalibration:
         c2, _ = calibrate_witness_constant(f, grid, grad, 10_000, seed=202)
         assert np.isfinite(c1) and c1 > 0.0
         assert abs(c1 / c2 - 1.0) <= 0.20
+
+    def test_near_pairs_are_neighbours(self):
+        grid = make_grid(2, 1.0, 0.01)
+        ia, ib = _near_pairs(grid, 20_000, np.random.default_rng(3))
+        assert 0 < len(ia) <= 20_000
+        dist = np.sqrt(np.sum((grid.points[ia] - grid.points[ib]) ** 2, axis=1))
+        assert dist.max() <= 8 * grid.spacing * (1.0 + 1e-12)
+
+    def test_near_pairs_are_row_offsets_in_one_d(self):
+        grid = make_grid(1, 1.0, 0.01)
+        ia, ib = _near_pairs(grid, 5000, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        ia_rows = rng.integers(0, grid.n_points, 5000)
+        ib_rows = np.clip(ia_rows + rng.integers(1, 9, 5000), 0, grid.n_points - 1)
+        np.testing.assert_array_equal(ia, ia_rows)
+        np.testing.assert_array_equal(ib, ib_rows)
 
     def test_pair_floor(self):
         f = catalog_field("constant", 1)
