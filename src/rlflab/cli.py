@@ -54,6 +54,15 @@ __all__ = [
 SUITES = ("stability", "cauchy", "regularity", "compactness", "weak-type", "all")
 # d = 1 only: no d > 1 end-to-end run is verified, weak-type battery is 1-d
 D1_SUITES = ("regularity", "compactness", "weak-type")
+# radii, in units of R, of the balls each suite starts trajectories on:
+# (every level, the top level); 0 reads none
+SUITE_REACH = {
+    "stability": (1.0, 1.0),
+    "cauchy": (1.0, 1.0),
+    "regularity": (0.0, 3.0),
+    "compactness": (1.5, 1.5),
+    "weak-type": (0.0, 0.0),
+}
 
 # key: (parser, default, help)
 CONFIG_SCHEMA = {
@@ -209,11 +218,24 @@ def parse_config(path) -> ExperimentConfig:
 
 
 class _Pipeline:
-    def __init__(self, cfg: ExperimentConfig):
+    """Lazily built stages shared by the chosen suites.
+
+    Each mollified level is integrated once per run, on the largest ball any
+    chosen suite reads at that level (``SUITE_REACH``); every smaller ball is
+    served as a row restriction of that ensemble, which equals a direct
+    integration bit for bit.  A level whose integration flags non-finite
+    trajectories stops the run with a ``FlowError``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, suites):
         self.cfg = cfg
         self._base = None
         self._moll: dict = {}
         self._ens: dict = {}
+        self._wide: dict = {}
+        self._reach = {
+            n: max(_reach(cfg, name, n) for name in suites) for n in cfg.levels
+        }
 
     def base_field(self):
         if self._base is None:
@@ -251,15 +273,32 @@ class _Pipeline:
             div_evaluator=base.div_evaluator,
         )
 
-    def ensemble(self, level: int, radius: float, tau: float | None = None):
-        tau = self.cfg.tau if tau is None else tau
-        key = (level, round(radius, 12), tau)
+    def ensemble(self, level: int, radius: float):
+        """Trajectories of level ``level`` started on B(radius)."""
+        key = (level, round(radius, 12))
         if key not in self._ens:
-            grid = make_grid(self.cfg.d, radius, self.cfg.h)
-            self._ens[key] = integrate_ensemble(
-                self.mollified(level), grid, self.cfg.T, tau
-            )
+            if level not in self._wide:
+                self._wide[level] = self._integrate(level, self._reach[level])
+            self._ens[key] = self._wide[level].restrict(radius)
         return self._ens[key]
+
+    def _integrate(self, level: int, radius: float):
+        cfg = self.cfg
+        grid = make_grid(cfg.d, radius, cfg.h)
+        ens = integrate_ensemble(self.mollified(level), grid, cfg.T, cfg.tau)
+        flagged = int(ens.flags.sum())
+        if flagged:
+            raise FlowError(
+                f"level {level}: {flagged} of {grid.n_points} trajectories "
+                f"from B({radius:g}) went non-finite"
+            )
+        return ens
+
+
+def _reach(cfg: ExperimentConfig, suite: str, level: int) -> float:
+    """Radius of the ball ``suite`` starts trajectories on at ``level``."""
+    every, top = SUITE_REACH[suite]
+    return (top if level == cfg.levels[-1] else every) * cfg.R
 
 
 def _stability_suite(pipe: _Pipeline):
@@ -268,7 +307,8 @@ def _stability_suite(pipe: _Pipeline):
     for i, n in enumerate(cfg.levels):
         for m in cfg.levels[i + 1 :]:
             fa, fb = pipe.mollified(n), pipe.mollified(m)
-            ea, eb = pipe.ensemble(n, cfg.R), pipe.ensemble(m, cfg.R)
+            ea = pipe.ensemble(n, _reach(cfg, "stability", n))
+            eb = pipe.ensemble(m, _reach(cfg, "stability", m))
             deltas = cfg.deltas or (None,)
             for delta in deltas:
                 if delta is None:
@@ -288,7 +328,7 @@ def _stability_suite(pipe: _Pipeline):
 def _cauchy_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     fields = [pipe.mollified(n) for n in cfg.levels]
-    ensembles = [pipe.ensemble(n, cfg.R) for n in cfg.levels]
+    ensembles = [pipe.ensemble(n, _reach(cfg, "cauchy", n)) for n in cfg.levels]
     _, reports = cauchy_diagnostic(
         pipe.base_field(), fields, ensembles, cfg.eta, cfg.R, slack=cfg.slack
     )
@@ -298,7 +338,7 @@ def _cauchy_suite(pipe: _Pipeline):
 def _regularity_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     top = cfg.levels[-1]
-    ens = pipe.ensemble(top, 3.0 * cfg.R)
+    ens = pipe.ensemble(top, _reach(cfg, "regularity", top))
     _, report = regularity_set(
         ens,
         pipe.representative(top),
@@ -316,7 +356,7 @@ def _compactness_suite(pipe: _Pipeline):
     base = pipe.base_field()
     top = cfg.levels[-1]
     reports = []
-    ens = pipe.ensemble(top, 1.5 * cfg.R)
+    ens = pipe.ensemble(top, _reach(cfg, "compactness", top))
     rep_field = pipe.representative(top)
     for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0):
         reports.append(
@@ -331,7 +371,7 @@ def _compactness_suite(pipe: _Pipeline):
     radii = [cfg.R / 4.0 / 2**j for j in range(5)]
     radii = [r for r in radii if r >= cfg.h]
     for n in cfg.levels:
-        e = pipe.ensemble(n, 1.5 * cfg.R)
+        e = pipe.ensemble(n, _reach(cfg, "compactness", n))
         for r in radii:
             reports.append(
                 translation_functional(
@@ -386,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out} is not writable")
 
-    pipe = _Pipeline(cfg)
+    pipe = _Pipeline(cfg, chosen)
     runners = {
         "stability": _stability_suite,
         "cauchy": _cauchy_suite,

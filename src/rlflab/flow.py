@@ -8,7 +8,12 @@ position array.
 
 Integration is data-parallel across initial points; a trajectory that ever
 produces a non-finite field value keeps NaN positions from that step on and
-is flagged, while the rest of the ensemble completes.
+is flagged, while the rest of the ensemble completes.  Each trajectory
+depends on its own initial point only, so the rows of an ensemble started on
+a ball ``B(r)`` inside the grid's ball equal a direct integration from
+``make_grid(d, r, h)`` bit for bit: ``TrajectoryEnsemble.restrict`` serves
+them.  The experiment pipeline integrates each mollified level once, on the
+largest ball any chosen suite reads, and restricts it for the smaller ones.
 
 The limit flow of a rough field is represented downstream by its
 highest-level mollified ensemble together with the Cauchy-tail diagnostics;
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +92,20 @@ class TrajectoryEnsemble:
             self.grid == other.grid
             and self.times.shape == other.times.shape
             and np.allclose(self.times, other.times, rtol=0.0, atol=1e-12)
+        )
+
+    def restrict(self, radius: float) -> "TrajectoryEnsemble":
+        """Trajectories started in ``B(radius)``, in ``make_grid`` order."""
+        if radius > self.grid.radius:
+            raise FlowError(
+                f"radius {radius} exceeds the ensemble's grid radius "
+                f"{self.grid.radius}"
+            )
+        if radius == self.grid.radius:
+            return self
+        grid, rows = self.grid.restrict(radius)
+        return replace(
+            self, grid=grid, positions=self.positions[rows], flags=self.flags[rows]
         )
 
     def time_index(self, t: float) -> int:

@@ -79,7 +79,8 @@ class PointGrid:
     ``indices`` has shape (n, d) with integer entries, ordered
     lexicographically; ``points`` is ``indices * spacing``.  Instances are
     immutable after construction.  They own the lattice-ball geometry:
-    centered ball masks, nonzero offsets in a ball, the ``indices + m`` box.
+    centered ball masks, nonzero offsets in a ball, the ``indices + m`` box
+    and the sub-grid of a smaller ball.
     """
 
     dimension: int
@@ -117,6 +118,25 @@ class PointGrid:
         """Nonzero lattice offsets k, ``|k h| <= radius``, lexicographic."""
         k = _lattice_ball(self.dimension, radius, self.spacing)
         return k[np.any(k != 0, axis=1)]
+
+    def restrict(self, radius: float) -> tuple:
+        """Sub-grid of ``B(radius)`` and its row mask into this grid.
+
+        The sub-grid equals ``make_grid(dimension, radius, spacing)``: rows
+        pass the membership test ``make_grid`` uses and keep their order.
+        """
+        _check_radius(radius, self.spacing)
+        if radius > self.radius:
+            raise GridError(f"radius {radius} exceeds the grid radius {self.radius}")
+        rows = _in_ball(self.indices, radius, self.spacing)
+        sub = PointGrid(
+            self.dimension,
+            self.spacing,
+            float(radius),
+            self.indices[rows],
+            self.points[rows],
+        )
+        return sub, rows
 
     def box_index(self, indices=None) -> tuple:
         """Cells ``indices + m`` of the box array (default: the grid's own)."""
@@ -163,15 +183,19 @@ def make_grid(dimension: int, radius: float, spacing: float) -> PointGrid:
     """
     if dimension not in (1, 2, 3):
         raise GridError(f"dimension must be 1, 2 or 3, got {dimension}")
+    _check_radius(radius, spacing)
+    indices = _lattice_ball(dimension, radius, spacing)
+    points = indices.astype(np.float64) * spacing
+    return PointGrid(dimension, float(spacing), float(radius), indices, points)
+
+
+def _check_radius(radius: float, spacing: float) -> None:
     if radius <= 0.0 or spacing <= 0.0:
         raise GridError("radius and spacing must be positive")
     if spacing >= radius:
         raise GridError(
             f"spacing {spacing} must be smaller than radius {radius}"
         )
-    indices = _lattice_ball(dimension, radius, spacing)
-    points = indices.astype(np.float64) * spacing
-    return PointGrid(dimension, float(spacing), float(radius), indices, points)
 
 
 def _lattice_ball(dimension: int, radius: float, spacing: float) -> np.ndarray:
@@ -180,8 +204,13 @@ def _lattice_ball(dimension: int, radius: float, spacing: float) -> np.ndarray:
     axis = np.arange(-m, m + 1, dtype=np.int64)
     mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
     indices = np.stack(mesh, axis=-1).reshape(-1, dimension)
+    return indices[_in_ball(indices, radius, spacing)]
+
+
+def _in_ball(indices: np.ndarray, radius: float, spacing: float) -> np.ndarray:
+    """Row mask of the integer vectors with ``|i * spacing| <= radius``."""
     sq = np.sum((indices.astype(np.float64) * spacing) ** 2, axis=1)
-    return indices[sq <= radius * radius * (1.0 + MEMBERSHIP_SLACK)]
+    return sq <= radius * radius * (1.0 + MEMBERSHIP_SLACK)
 
 
 def ball_measure(dimension: int, radius: float) -> float:

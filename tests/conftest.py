@@ -2,16 +2,23 @@
 
 The heavy objects (catalog fields, mollified ensembles) are session-scoped:
 every consumer sees the identical deterministic object, and the expensive
-series table is built once.  Desk-scale geometry throughout: d = 1, R = 1,
-T = 1, h = 0.01, tau = 1e-3.
+series table is built once.  Ensembles on a smaller ball are restrictions
+of the wider ones at the same level, which equal direct integrations bit
+for bit (``tests/test_flow.py::TestRestrict``).  Desk-scale geometry
+throughout: d = 1, R = 1, T = 1, h = 0.01, tau = 1e-3.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rlflab.fields import MollifierKernel, catalog_field, mollify
 from rlflab.flow import integrate_ensemble
 from rlflab.numerics import make_grid
+
+# the same hypothesis examples on every run, and no example database
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 LEVELS = (4, 8, 16, 32)
 H = 0.01
@@ -36,10 +43,11 @@ def grid_b1():
 
 
 @pytest.fixture(scope="session")
-def ens_b1(moll, grid_b1):
-    return {
-        n: integrate_ensemble(moll[n], grid_b1, T, TAU) for n in LEVELS
-    }
+def ens_b1(moll, grid_b1, ens_b15):
+    # levels 8, 16 and 32 are rows of B(1.5R), equal to direct integration
+    ens = {4: integrate_ensemble(moll[4], grid_b1, T, TAU)}
+    ens.update((n, e.restrict(R)) for n, e in ens_b15.items())
+    return ens
 
 
 @pytest.fixture(scope="session")
@@ -54,10 +62,12 @@ def ens_b3_top(moll):
 
 
 @pytest.fixture(scope="session")
-def ens_b15(moll):
+def ens_b15(moll, ens_b3_top):
     grid = make_grid(1, 1.5 * R, H)
     return {
-        n: integrate_ensemble(moll[n], grid, T, TAU) for n in (8, 16, 32)
+        8: integrate_ensemble(moll[8], grid, T, TAU),
+        16: integrate_ensemble(moll[16], grid, T, TAU),
+        32: ens_b3_top.restrict(1.5 * R),
     }
 
 

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rlflab.cli import (
+    SUITES,
     ConfigError,
     emit_plots,
     main,
@@ -328,6 +330,81 @@ class TestNonFiniteInputs:
         assert len(err.strip().splitlines()) == 1
         assert "slack override must be finite" in err
         assert not out.exists()
+
+
+class TestEnsemblePlan:
+    """One RK4 integration per level, on the widest ball the suites read."""
+
+    CONFIG = (
+        "field = sobolev-singular\nlevels = 4,8,16\n"
+        "h = 0.05\nT = 0.1\ntau = 0.01\n"
+    )
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_one_integration_per_level(self, tmp_path, monkeypatch, suite):
+        import rlflab.cli as cli
+
+        calls = []
+        integrate = cli.integrate_ensemble
+
+        def counted(field, grid, horizon, tau):
+            calls.append((field.mollification_level, grid.radius))
+            return integrate(field, grid, horizon, tau)
+
+        monkeypatch.setattr(cli, "integrate_ensemble", counted)
+        cfg = parse_config(write_config(tmp_path, self.CONFIG))
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, suite) in (0, 1)
+        levels = [n for n, _ in calls]
+        assert len(levels) == len(set(levels))
+        if suite == "all":
+            assert sorted(calls) == [(4, 1.5), (8, 1.5), (16, 3.0)]
+
+    def test_compactness_alone_matches_all(self, tmp_path):
+        def contents(root, prefix):
+            names = sorted(os.listdir(os.path.join(root, "reports")))
+            return [
+                open(os.path.join(root, "reports", name), "rb").read()
+                for name in names
+                if name.startswith(prefix)
+            ]
+
+        cfg = parse_config(write_config(tmp_path, self.CONFIG))
+        runs = {}
+        for suite in ("compactness", "all"):
+            cfg.out = str(tmp_path / suite)
+            run_experiment(cfg, suite)
+            runs[suite] = contents(cfg.out, "compactness_")
+        assert len(runs["compactness"]) > 0
+        assert runs["compactness"] == runs["all"]
+
+    def test_non_finite_trajectory_exits_two(self, tmp_path, monkeypatch, capsys):
+        import rlflab.cli as cli
+
+        mollify = cli.mollify
+
+        def poisoned(field, kernel):
+            moll = mollify(field, kernel)
+            ev = moll.evaluator
+
+            def bad_ev(t, pts):
+                out = ev(t, pts)
+                if t == 0.0:  # poisons the two trajectories from x > 0.9
+                    out[pts[:, 0] > 0.9] = np.nan
+                return out
+
+            return replace(moll, evaluator=bad_ev)
+
+        monkeypatch.setattr(cli, "mollify", poisoned)
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, FAST_CONSTANT),
+                     "--suite", "stability", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: FlowError: level 4: 2 of 41 trajectories from B(1) "
+            "went non-finite\n"
+        )
 
 
 class TestFullPipeline:

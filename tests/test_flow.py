@@ -109,6 +109,40 @@ class TestIntegration:
             integrate_ensemble(f, grid, 1.0, 0.1)
 
 
+class TestRestrict:
+    """Rows of a wider ensemble equal a direct integration bit for bit."""
+
+    @pytest.mark.parametrize("field_id", ["osgood-sum", "sobolev-singular", "combined"])
+    def test_matches_direct_rough_fields(self, field_id):
+        base = catalog_field(field_id, 1)
+        for n in (4, 32):
+            field = mollify(base, MollifierKernel(n))
+            wide = integrate_ensemble(field, make_grid(1, 1.5, 0.01), 0.05, 1e-3)
+            for r in (1.0, 0.5):
+                direct = integrate_ensemble(field, make_grid(1, r, 0.01), 0.05, 1e-3)
+                sub = wide.restrict(r)
+                assert sub.grid == direct.grid
+                assert np.array_equal(sub.grid.points, direct.grid.points)
+                assert np.array_equal(sub.positions, direct.positions)
+                assert np.array_equal(sub.flags, direct.flags)
+                assert sub.same_mesh(direct)
+
+    def test_matches_direct_linear_2d(self):
+        field = mollify(catalog_field("linear", 2, slope=-1.0), MollifierKernel(4))
+        wide = integrate_ensemble(field, make_grid(2, 0.35, 0.05), 0.03, 0.01)
+        direct = integrate_ensemble(field, make_grid(2, 0.2, 0.05), 0.03, 0.01)
+        sub = wide.restrict(0.2)
+        assert sub.grid == direct.grid and sub.grid.n_points < wide.grid.n_points
+        assert np.array_equal(sub.positions, direct.positions)
+
+    def test_full_radius_and_beyond(self):
+        f = catalog_field("constant", 1)
+        ens = integrate_ensemble(f, make_grid(1, 1.0, 0.1), 0.1, 0.01)
+        assert ens.restrict(1.0) is ens
+        with pytest.raises(FlowError, match="exceeds the ensemble's grid radius"):
+            ens.restrict(1.5)
+
+
 class TestSupDistance:
     def test_identical(self, ens_b1):
         assert np.all(sup_distance(ens_b1[8], ens_b1[8]) == 0.0)

@@ -51,6 +51,25 @@ class TestMakeGrid:
         assert a == b
 
 
+class TestRestrict:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_make_grid(self, d):
+        big = make_grid(d, 1.0, 0.1)
+        for r in (0.5, 0.55, 0.999, 1.0):
+            sub, rows = big.restrict(r)
+            direct = make_grid(d, r, 0.1)
+            assert sub == direct
+            assert np.array_equal(sub.points, direct.points)
+            assert np.array_equal(big.indices[rows], direct.indices)
+
+    def test_rejects_radius_outside(self):
+        big = make_grid(2, 1.0, 0.1)
+        with pytest.raises(GridError, match="exceeds the grid radius"):
+            big.restrict(1.2)
+        with pytest.raises(GridError, match="smaller than radius"):
+            big.restrict(0.1)
+
+
 class TestBallAverage:
     def test_constant(self):
         g = make_grid(2, 1.0, 0.2)

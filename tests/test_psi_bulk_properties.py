@@ -8,6 +8,9 @@ per-cell slopes that decrease too, so each property holds up to rounding.
 delta is drawn log-uniformly from [2e-3, 10].  The sweeps call the bulk
 path with delta = r >= h; the fixed fine step 2e-6 of the table holds the
 bulk-versus-adaptive tolerance down to about delta = 1e-3 and not below.
+
+The last property is the round trip of the adaptive path through
+``psi_inverse``, whose bound follows from its ``tol`` and ``quad_tol``.
 """
 
 import numpy as np
@@ -64,3 +67,18 @@ def test_bulk_matches_adaptive(kind, delta, xs):
     fam, vals = bulk(kind, delta, xs)
     ref = np.array([fam.psi(x) for x in xs])
     np.testing.assert_allclose(vals, ref, atol=2e-5, rtol=2e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(KINDS, st.floats(-4.0, 1.0).map(lambda e: 10.0**e), XI)
+def test_inverse_round_trip(kind, delta, xi):
+    # invert_monotone stops within tol of the target t = psi(xi).  psi is
+    # within quad_tol of psi_delta, whose inverse has slope rho + delta, at
+    # most rho(max(x, xi)) + delta between the two points.
+    fam = PsiFunctional(make_modulus(kind), delta)
+    tol = 1e-10
+    t = fam.psi(xi)
+    x = fam.psi_inverse(t, tol=tol)
+    assert abs(fam.psi(x) - t) <= tol
+    slope = fam.modulus.scalar(max(x, xi)) + delta
+    assert abs(x - xi) <= slope * (tol + 2.0 * fam.quad_tol)
