@@ -71,6 +71,23 @@ class EstimateError(Exception):
     """Invalid estimate configuration."""
 
 
+def _report(estimate_id: str, lhs, rhs, constants: dict, metadata: dict, **kw):
+    """``make_report``, with a non-finite side raised as an EstimateError
+    that names the estimate, the side and the non-finite constants."""
+    for side, value in (("lhs", lhs), ("rhs", rhs)):
+        if not math.isfinite(value):
+            culprits = [
+                name
+                for name, c in constants.items()
+                if isinstance(c, float) and not math.isfinite(c)
+            ]
+            raise EstimateError(
+                f"{estimate_id} {side} is {value}"
+                + (f" (non-finite: {', '.join(culprits)})" if culprits else "")
+            )
+    return make_report(estimate_id, lhs, rhs, constants, metadata, **kw)
+
+
 def lens_constant(dimension: int) -> float:
     if dimension not in LENS_CONSTANT:
         raise EstimateError("lens constant known for d = 1, 2, 3 only")
@@ -247,7 +264,7 @@ def stability_report(
         "tau": ens_a.tau,
         "K": field_a.params.get("terms", ""),
     }
-    return make_report(
+    return _report(
         "thm31",
         lhs,
         rhs,
@@ -351,7 +368,7 @@ def cauchy_diagnostic(
                 "K": base_field.params.get("terms", ""),
             }
             reports.append(
-                make_report(
+                _report(
                     "cauchy",
                     d_nm,
                     bound,
@@ -586,7 +603,7 @@ def regularity_set(
         "tau": ensemble.tau,
         "K": field.params.get("terms", ""),
     }
-    report = make_report(
+    report = _report(
         "thm41", lhs, 1.0, constants, metadata, slack=slack
     )
     return reg, report
@@ -640,7 +657,7 @@ def compactness_a(
         "tau": ensemble.tau,
         "K": field.params.get("terms", ""),
     }
-    return make_report("prop43", lhs, rhs, constants, metadata, slack=slack)
+    return _report("prop43", lhs, rhs, constants, metadata, slack=slack)
 
 
 # --------------------------------------------------------------------------
@@ -726,4 +743,4 @@ def translation_functional(
         "tau": ensemble.tau,
         "K": "",
     }
-    return make_report("thm44", lhs, rhs, constants, metadata, slack=slack)
+    return _report("thm44", lhs, rhs, constants, metadata, slack=slack)

@@ -95,7 +95,12 @@ class TrajectoryEnsemble:
         )
 
     def restrict(self, radius: float) -> "TrajectoryEnsemble":
-        """Trajectories started in ``B(radius)``, in ``make_grid`` order."""
+        """Trajectories started in ``B(radius)``, in ``make_grid`` order.
+
+        When the rows form one contiguous run, as every centered ball does
+        in d = 1, the positions and flags are views of this ensemble's;
+        otherwise they are copies.
+        """
         if radius > self.grid.radius:
             raise FlowError(
                 f"radius {radius} exceeds the ensemble's grid radius "
@@ -104,6 +109,9 @@ class TrajectoryEnsemble:
         if radius == self.grid.radius:
             return self
         grid, rows = self.grid.restrict(radius)
+        run = np.flatnonzero(rows)
+        if len(run) and run[-1] - run[0] + 1 == len(run):
+            rows = slice(run[0], run[-1] + 1)
         return replace(
             self, grid=grid, positions=self.positions[rows], flags=self.flags[rows]
         )

@@ -256,14 +256,15 @@ class PsiFunctional:
         )
         mesh = np.concatenate([fine, coarse])
         vals = 1.0 / (eval_rho(self.modulus, mesh) + self.delta)
-        inc = 0.5 * np.diff(mesh) * (vals[1:] + vals[:-1])
+        pair_sums = vals[1:] + vals[:-1]
+        inc = 0.5 * np.diff(mesh) * pair_sums
         cum = np.concatenate([[0.0], np.cumsum(inc)])
         table = {
             "mesh_max": float(mesh[-1]),
             "n_fine": len(fine),
             "fine_end": float(fine[-1]),
             "cum": cum,
-            "vals": vals,
+            "half": np.multiply(pair_sums, 0.5, out=pair_sums),  # per cell
         }
         object.__setattr__(self, "_table", table)
 
@@ -285,31 +286,18 @@ class PsiFunctional:
         if tab is None or tab["mesh_max"] < need:
             self._build_table(need)
             tab = self._table
-        cum, vals = tab["cum"], tab["vals"]
+        cum, half = tab["cum"], tab["half"]
         n_fine, fine_end = tab["n_fine"], tab["fine_end"]
-        out = np.empty_like(xs, dtype=np.float64)
-        low = xs <= fine_end
-        # fine region: direct index arithmetic on the uniform mesh
-        idx = np.clip((xs[low] / _FINE_STEP).astype(np.int64), 0, n_fine - 2)
-        s0 = idx * _FINE_STEP
-        frac = xs[low] - s0
-        out[low] = cum[idx] + frac * 0.5 * (
-            vals[idx] + vals[np.minimum(idx + 1, n_fine - 1)]
-        )
-        hii = ~low
-        if hii.any():
-            x = xs[hii]
-            j = np.clip(
-                ((x - fine_end) / _COARSE_STEP).astype(np.int64),
-                0,
-                len(cum) - n_fine - 1,
-            )
-            base = n_fine - 1 + j
-            s0 = fine_end + j * _COARSE_STEP
-            frac = x - s0
-            nxt = np.minimum(base + 1, len(vals) - 1)
-            out[hii] = cum[base] + frac * 0.5 * (vals[base] + vals[nxt])
-        return out
+        # one index path: cell j of the fine mesh is cell j of the table,
+        # cell j of the coarse mesh (origin fine_end) is cell n_fine - 1 + j
+        coarse = xs > fine_end
+        origin = coarse * fine_end
+        step = np.where(coarse, _COARSE_STEP, _FINE_STEP)
+        last = np.where(coarse, len(cum) - n_fine - 1, n_fine - 2)
+        j = np.clip(((xs - origin) / step).astype(np.int64), 0, last)
+        s0 = origin + j * step
+        cell = j + coarse * (n_fine - 1)
+        return cum[cell] + (xs - s0) * half[cell]
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 The heavy objects (catalog fields, mollified ensembles) are session-scoped:
 every consumer sees the identical deterministic object, and the expensive
-series table is built once.  Ensembles on a smaller ball are restrictions
+series table is built once, into a temporary cache directory that lives as
+long as the session.  Ensembles on a smaller ball are restrictions
 of the wider ones at the same level, which equal direct integrations bit
 for bit (``tests/test_flow.py::TestRestrict``).  Desk-scale geometry
 throughout: d = 1, R = 1, T = 1, h = 0.01, tau = 1e-3.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +22,16 @@ from rlflab.numerics import make_grid
 # the same hypothesis examples on every run, and no example database
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def tail_cache_dir():
+    # series tail tables go to a directory of this session, not ~/.cache
+    with tempfile.TemporaryDirectory(prefix="rlflab-cache-") as path:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("RLFLAB_CACHE", path)
+            yield path
+
 
 LEVELS = (4, 8, 16, 32)
 H = 0.01

@@ -332,6 +332,20 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+    def test_overflowing_compressibility_exits_two(self, tmp_path, capsys):
+        # L = exp(T * 1000) overflows, so the thm31 right side is inf
+        path = write_config(
+            tmp_path, "field = linear\nslope = -1000\nh = 0.1\nT = 1\n"
+        )
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: EstimateError: thm31 rhs is inf (non-finite: L, L_tilde)\n"
+        )
+
+
 class TestEnsemblePlan:
     """One RK4 integration per level, on the widest ball the suites read."""
 

@@ -261,6 +261,15 @@ class TestMollify:
             for a, b in zip(norms, norms[1:]):
                 assert b <= a * 1.10 + 1e-15
 
+    def test_quadrature_rows_are_independent(self, sobolev):
+        # the generic quadrature runs in blocks of points; a row's value
+        # does not depend on the block it falls in
+        fn = mollify(sobolev, MollifierKernel(4))
+        x = np.linspace(-2.0, 2.0, 400)[:, None]
+        full = fn(0.0, x)
+        for i, j in ((0, 1), (166, 168), (334, 335), (100, 400)):
+            assert np.array_equal(fn(0.0, x[i:j]), full[i:j])
+
     def test_double_mollify_rejected(self, moll):
         with pytest.raises(FieldError):
             mollify(moll[4], MollifierKernel(8))

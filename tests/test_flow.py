@@ -135,6 +135,26 @@ class TestRestrict:
         assert sub.grid == direct.grid and sub.grid.n_points < wide.grid.n_points
         assert np.array_equal(sub.positions, direct.positions)
 
+    def test_one_d_rows_are_views(self):
+        field = mollify(catalog_field("osgood-sum", 1, terms=100), MollifierKernel(4))
+        wide = integrate_ensemble(field, make_grid(1, 1.5, 0.01), 0.05, 1e-3)
+        for r in (1.0, 0.5, 0.02):
+            sub = wide.restrict(r)
+            assert np.shares_memory(sub.positions, wide.positions)
+            assert np.shares_memory(sub.flags, wide.flags)
+            direct = integrate_ensemble(field, make_grid(1, r, 0.01), 0.05, 1e-3)
+            assert np.array_equal(sub.positions, direct.positions)
+
+    def test_two_d_rows_are_copies(self):
+        field = mollify(catalog_field("osgood-sum", 2, terms=100), MollifierKernel(4))
+        wide = integrate_ensemble(field, make_grid(2, 0.35, 0.05), 0.03, 0.01)
+        direct = integrate_ensemble(field, make_grid(2, 0.2, 0.05), 0.03, 0.01)
+        sub = wide.restrict(0.2)
+        assert not np.shares_memory(sub.positions, wide.positions)
+        assert sub.grid == direct.grid
+        assert np.array_equal(sub.positions, direct.positions)
+        assert np.array_equal(sub.flags, direct.flags)
+
     def test_full_radius_and_beyond(self):
         f = catalog_field("constant", 1)
         ens = integrate_ensemble(f, make_grid(1, 1.0, 0.1), 0.1, 0.01)

@@ -232,6 +232,51 @@ class TestPsiBulkTable:
             assert np.array_equal(again, before)
 
 
+def two_branch_psi_values(fam, vals, xs):
+    """The bulk lookup as it read with separate fine and coarse branches,
+    from the table nodes' values ``vals`` of 1 / (rho + delta)."""
+    tab = fam._table
+    cum = tab["cum"]
+    n_fine, fine_end = tab["n_fine"], tab["fine_end"]
+    out = np.empty_like(xs)
+    low = xs <= fine_end
+    idx = np.clip((xs[low] / 2e-6).astype(np.int64), 0, n_fine - 2)
+    frac = xs[low] - idx * 2e-6
+    out[low] = cum[idx] + frac * 0.5 * (vals[idx] + vals[idx + 1])
+    x = xs[~low]
+    j = np.clip(((x - fine_end) / 1e-4).astype(np.int64), 0, len(cum) - n_fine - 1)
+    base = n_fine - 1 + j
+    frac = x - (fine_end + j * 1e-4)
+    out[~low] = cum[base] + frac * 0.5 * (vals[base] + vals[base + 1])
+    return out
+
+
+@pytest.mark.parametrize("mod", [LIN, LOG, LOGLOG])
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 1.0])
+def test_one_index_path_equals_two_branches(monkeypatch, mod, delta):
+    # precomputed half-sums and one index path give the very same values
+    import rlflab.modulus as modulus
+
+    meshes = []
+    eval_rho = modulus.eval_rho
+
+    def recording(m, s):
+        meshes.append(s)
+        return eval_rho(m, s)
+
+    monkeypatch.setattr(modulus, "eval_rho", recording)
+    rng = np.random.default_rng(11)
+    edges = [0.0, 2e-6, 0.25 - 1e-17, 0.25, 0.25 + 1e-17, 0.2501, 15.9999]
+    xs = np.concatenate(
+        [edges, rng.uniform(0.0, 0.3, 4000), rng.exponential(0.05, 4000),
+         rng.uniform(0.0, 16.0, 4000)]
+    )
+    fam = PsiFunctional(mod, delta)
+    got = fam.psi_values(xs)
+    vals = 1.0 / (eval_rho(mod, meshes[-1]) + delta)
+    assert np.array_equal(got, two_branch_psi_values(fam, vals, xs))
+
+
 class TestOsgoodDiagnostic:
     def test_linear_verdict(self):
         eps = [10.0**-k for k in range(1, 7)]
