@@ -104,6 +104,29 @@ WITNESS_HEADROOM = 1.015
 # stencil, large enough to sit far above evaluator roundoff
 FD_DIV_STEP = 2e-6
 
+# measure_osgood_constant: random pairs on [-span, span]^2 against log rho
+OSGOOD_PAIRS = 100_000
+OSGOOD_SEED = 20260809
+OSGOOD_SPAN = 3.0
+
+# sobolev-singular witness calibration grid B(radius) at spacing, and pairs
+SOBOLEV_CAL_RADIUS = 2.0
+SOBOLEV_CAL_SPACING = 0.01
+SOBOLEV_CAL_PAIRS = 10_000
+SOBOLEV_CAL_SEED = 20260809
+
+# calibration skips pairs within this many grid spacings of a singular point
+SINGULAR_EXCLUSION = 2.0
+
+# the linear field is flat out to this radius, then fades to 0 over the width
+LINEAR_TRUNC_RADIUS = 6.0
+LINEAR_BLEND_WIDTH = 1.0
+
+# midpoint nodes per axis of the mollifier quadrature: the smallest odd count
+# whose discrete kernel mass is within 1e-6 of one in every supported
+# dimension (49 measures 5.1e-7 in d = 1; 33 measures 4.6e-6)
+KERNEL_NODES = 49
+
 
 class FieldError(Exception):
     """Invalid field construction or use."""
@@ -128,8 +151,6 @@ SERIES_DOMAIN = math.pi / 2
 _CHUNK = 1 << 15
 # float64 elements per block of the generic mollifier quadrature (64 KiB)
 _HEAP_BLOCK = 1 << 13
-
-_C2_CACHE: dict = {}
 
 
 def _chunked(fn, x, size=_CHUNK):
@@ -295,36 +316,24 @@ def _finite_or_zero(x: np.ndarray):
     return (np.where(bad, 0.0, x) if bad.any() else x), bad
 
 
-def measure_osgood_constant(
-    terms: int,
-    modulus: ModulusOfContinuity | None = None,
-    n_pairs: int = 100_000,
-    seed: int = 20260809,
-    span: float = 3.0,
-) -> float:
-    """Empirical sup of |V_K(t) - V_K(s)| / rho(|t - s|) over random pairs.
+@functools.cache
+def measure_osgood_constant(terms: int) -> float:
+    """Empirical sup of |V_K(t) - V_K(s)| / rho(|t - s|) over random pairs,
+    with the log modulus rho.
 
     The true constant is existential in the underlying theory; this measured
     stand-in uses exact partial sums (no table) so the measurement is
-    independent of the hybrid evaluator.  Cached per configuration.
+    independent of the hybrid evaluator.  Cached per term count.
     """
-    if modulus is None:
-        modulus = make_modulus("log")
-    key = (terms, modulus.kind, n_pairs, seed, span)
-    cached = _C2_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(-span, span, n_pairs)
-    s = rng.uniform(-span, span, n_pairs)
+    rng = np.random.default_rng(OSGOOD_SEED)
+    t = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
+    s = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
     keep = t != s
     t, s = t[keep], s[keep]
     vt = series_direct(t, terms)
     vs = series_direct(s, terms)
-    ratios = np.abs(vt - vs) / modulus(np.abs(t - s))
-    c2 = float(ratios.max())
-    _C2_CACHE[key] = c2
-    return c2
+    ratios = np.abs(vt - vs) / make_modulus("log")(np.abs(t - s))
+    return float(ratios.max())
 
 
 # ==========================================================================
@@ -343,22 +352,17 @@ class WitnessFunction:
     evaluator: object  # (t, pts (n, d)) -> (n,)
     provenance: str
     modulus: ModulusOfContinuity | None = None
-    autonomous: bool = True
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(t, np.asarray(pts, dtype=np.float64)))
         return vals
 
     def l1_norm(self, times: np.ndarray, grid: PointGrid) -> float:
-        """L1 norm over [times] x grid by trapezoid-in-time Riemann-in-space."""
+        """L1 norm over [times] x grid: time span times the Riemann sum at
+        the first time (catalog witnesses do not depend on t)."""
         times = np.asarray(times, dtype=np.float64)
-        if self.autonomous:
-            space = grid_integral(grid, np.abs(self(times[0], grid.points)))
-            return float((times[-1] - times[0]) * space)
-        vals = np.array(
-            [grid_integral(grid, np.abs(self(t, grid.points))) for t in times]
-        )
-        return float(np.trapezoid(vals, times))
+        space = grid_integral(grid, np.abs(self(times[0], grid.points)))
+        return float((times[-1] - times[0]) * space)
 
 
 def constant_witness(value: float, modulus=None) -> WitnessFunction:
@@ -428,20 +432,14 @@ class MollifierKernel:
     """Standard bump kernel scaled to support radius 1/level.
 
     chi_n(z) = n^d c_d exp(-1/(1 - |n z|^2)) on |z| < 1/n.  Quadrature is a
-    tensor-product midpoint rule with ``nodes_per_axis`` nodes; the default
-    node count is the smallest odd count for which the discrete kernel mass
-    is within 1e-6 of one in every supported dimension (49 measures 5.1e-7
-    in d = 1; 33 measures 4.6e-6 and fails the mass contract).
+    tensor-product midpoint rule with ``KERNEL_NODES`` nodes per axis.
     """
 
     level: int
-    nodes_per_axis: int = 49
 
     def __post_init__(self):
         if self.level < 1:
             raise FieldError("kernel level must be a positive integer")
-        if self.nodes_per_axis < 3:
-            raise FieldError("kernel needs at least 3 nodes per axis")
 
     @property
     def support_radius(self) -> float:
@@ -473,7 +471,7 @@ class MollifierKernel:
 
     def _quadrature(self, dimension: int):
         """Unscaled axis nodes, then the nodes and raw weights in the ball."""
-        nax = self.nodes_per_axis
+        nax = KERNEL_NODES
         step = 2.0 / nax  # in unscaled coordinates on [-1, 1]
         axis = -1.0 + (np.arange(nax) + 0.5) * step
         mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
@@ -496,13 +494,13 @@ class MollifierKernel:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Bounded time-dependent vector field with witness and divergence data.
+    """Bounded vector field with witness and divergence data.
 
     ``evaluator(t, pts)`` maps an (n, d) array of points to (n, d)
     velocities.  ``div_evaluator`` is the analytic divergence when the
     catalog provides one; mollified fields leave it None and use central
-    finite differences instead.  Catalog instances are autonomous but every
-    interface carries t.
+    finite differences instead.  Catalog fields do not depend on t, but every
+    interface carries it.
     """
 
     dimension: int
@@ -515,7 +513,6 @@ class VectorField:
     div_evaluator: object | None = None
     mollification_level: int | None = None
     singular_points: tuple = ()
-    autonomous: bool = True
     # slow exact path for finite-difference diagnostics; table-backed
     # evaluators override it so differencing never amplifies table error
     exact_evaluator: object | None = None
@@ -606,7 +603,7 @@ def _trunc_profile(s: np.ndarray, r_flat: float, width: float):
     return theta, dtheta
 
 
-def _make_linear(dimension, slope=-1.0, trunc_radius=6.0, blend_width=1.0):
+def _make_linear(dimension, slope=-1.0):
     A = np.asarray(slope, dtype=np.float64)
     if A.ndim == 0:
         A = np.eye(dimension) * float(A)
@@ -617,12 +614,12 @@ def _make_linear(dimension, slope=-1.0, trunc_radius=6.0, blend_width=1.0):
 
     def ev(t, pts):
         s = np.sqrt(np.sum(pts * pts, axis=1))
-        theta, _ = _trunc_profile(s, trunc_radius, blend_width)
+        theta, _ = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
         return (pts @ A.T) * theta[:, None]
 
     def div(t, pts):
         s = np.sqrt(np.sum(pts * pts, axis=1))
-        theta, dtheta = _trunc_profile(s, trunc_radius, blend_width)
+        theta, dtheta = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
         ax = pts @ A.T
         radial = np.zeros_like(s)
         pos = s > 0.0
@@ -631,8 +628,8 @@ def _make_linear(dimension, slope=-1.0, trunc_radius=6.0, blend_width=1.0):
 
     # sup of |A x| theta(|x|) and of the local Lipschitz constant, on a
     # dense radial mesh (the profile is radial so this is exact up to mesh)
-    mesh = np.linspace(0.0, trunc_radius + blend_width, 20001)
-    theta, dtheta = _trunc_profile(mesh, trunc_radius, blend_width)
+    mesh = np.linspace(0.0, LINEAR_TRUNC_RADIUS + LINEAR_BLEND_WIDTH, 20001)
+    theta, dtheta = _trunc_profile(mesh, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
     sup_bound = op_norm * float(np.max(mesh * theta))
     lipschitz = op_norm * float(np.max(np.abs(theta + mesh * dtheta)))
     mod = make_modulus("linear")
@@ -641,8 +638,8 @@ def _make_linear(dimension, slope=-1.0, trunc_radius=6.0, blend_width=1.0):
         "linear",
         {
             "slope": A.tolist(),
-            "trunc_radius": trunc_radius,
-            "blend_width": blend_width,
+            "trunc_radius": LINEAR_TRUNC_RADIUS,
+            "blend_width": LINEAR_BLEND_WIDTH,
             "lipschitz": lipschitz,
         },
         sup_bound,
@@ -653,10 +650,10 @@ def _make_linear(dimension, slope=-1.0, trunc_radius=6.0, blend_width=1.0):
     )
 
 
-def _make_osgood_sum(dimension, terms=1000, witness_headroom=WITNESS_HEADROOM):
+def _make_osgood_sum(dimension, terms=1000):
     series = SeriesEvaluator(terms)
     mod = make_modulus("log")
-    c2 = measure_osgood_constant(terms, mod)
+    c2 = measure_osgood_constant(terms)
 
     def ev(t, pts):
         return series(pts)
@@ -674,9 +671,7 @@ def _make_osgood_sum(dimension, terms=1000, witness_headroom=WITNESS_HEADROOM):
         {"terms": terms, "c2_measured": c2, "tail_bound": 1.0 / terms},
         PI2_OVER_6,
         ev,
-        witness=constant_witness(
-            0.5 * dimension * c2 * witness_headroom, mod
-        ),
+        witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM, mod),
         modulus=mod,
         div_evaluator=div,
         exact_evaluator=ev_exact,
@@ -705,15 +700,7 @@ def _sobolev_grad(pts: np.ndarray, alpha: float, cap: float) -> np.ndarray:
     return out
 
 
-def _make_sobolev(
-    dimension,
-    alpha=0.3,
-    cap=10.0,
-    cal_radius=2.0,
-    cal_spacing=0.01,
-    cal_pairs=10_000,
-    cal_seed=20260809,
-):
+def _make_sobolev(dimension, alpha=0.3, cap=10.0):
     if not 0.0 < alpha < dimension:
         raise FieldError(
             f"alpha must lie in (0, d) for local integrability, got {alpha}"
@@ -757,26 +744,24 @@ def _make_sobolev(
         div_evaluator=div,
         singular_points=(tuple([0.0] * dimension),),
     )
-    grid = make_grid(dimension, cal_radius, cal_spacing)
+    grid = make_grid(dimension, SOBOLEV_CAL_RADIUS, SOBOLEV_CAL_SPACING)
     grad_samples = grad_fn(0.0, grid.points)
     _, calibrated = calibrate_witness_constant(
-        base, grid, grad_samples, cal_pairs, seed=cal_seed, grad_fn=grad_fn
+        base,
+        grid,
+        grad_samples,
+        SOBOLEV_CAL_PAIRS,
+        seed=SOBOLEV_CAL_SEED,
+        grad_fn=grad_fn,
     )
     return calibrated
 
 
-def _make_combined(
-    dimension,
-    alpha=0.3,
-    cap=2.0,
-    terms=1000,
-    witness_headroom=WITNESS_HEADROOM,
-    **cal_kwargs,
-):
-    sob = _make_sobolev(dimension, alpha=alpha, cap=cap, **cal_kwargs)
-    osc = _make_osgood_sum(dimension, terms, witness_headroom)
+def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
+    sob = _make_sobolev(dimension, alpha=alpha, cap=cap)
+    osc = _make_osgood_sum(dimension, terms)
     c2 = osc.params["c2_measured"]
-    c2d = c2 * dimension * witness_headroom
+    c2d = c2 * dimension * WITNESS_HEADROOM
     if c2d <= 1.0:
         raise FieldError("combined witness needs C2 * d > 1")
     g1 = sob.witness
@@ -937,7 +922,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     if abs(mass - 1.0) > 1e-6:
         raise FieldError(
             f"kernel mass {mass} deviates from 1 by more than 1e-6; "
-            "increase nodes_per_axis"
+            "increase KERNEL_NODES"
         )
     w = weights / mass
     d = field.dimension
@@ -990,7 +975,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
         params={
             **field.params,
             "kernel_level": kernel.level,
-            "kernel_nodes": kernel.nodes_per_axis,
+            "kernel_nodes": KERNEL_NODES,
             "kernel_mass": mass,
         },
     )
@@ -1001,12 +986,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
 # ==========================================================================
 
 
-def divergence_negative_part(
-    field: VectorField,
-    grid: PointGrid,
-    times=None,
-    fd_step: float = FD_DIV_STEP,
-):
+def divergence_negative_part(field: VectorField, grid: PointGrid, times=None):
     """Per-time sup over the grid of max(0, -div b_t).
 
     Uses the catalog's analytic divergence when available, central finite
@@ -1020,7 +1000,7 @@ def divergence_negative_part(
         if field.div_evaluator is not None:
             div = field.divergence(t, grid.points)
         elif field.mollification_level is not None:
-            div = _fd_divergence(field, t, grid.points, fd_step)
+            div = _fd_divergence(field, t, grid.points, FD_DIV_STEP)
         else:
             raise FieldError(
                 "divergence needs an analytic formula or a mollified field"
@@ -1041,21 +1021,16 @@ def _fd_divergence(field, t, pts, step):
 
 
 def compressibility_constant(
-    field: VectorField, grid: PointGrid, horizon: float, times=None
+    field: VectorField, grid: PointGrid, horizon: float
 ) -> float:
-    """L = exp(integral of the grid sup of [div b]^-), the analytic bound.
+    """L = exp(horizon * grid sup of [div b]^- at t = 0), the analytic bound
+    for a field that does not depend on t.
 
     An exponent past the float range gives inf, which the reports reject.
     """
-    if times is None:
-        times = [0.0] if field.autonomous else np.linspace(0.0, horizon, 21)
-    times, sups = divergence_negative_part(field, grid, times)
-    if len(times) == 1:
-        exponent = horizon * sups[0]
-    else:
-        exponent = np.trapezoid(sups, times)
+    _, sups = divergence_negative_part(field, grid)
     with np.errstate(over="ignore"):
-        return float(np.exp(exponent))
+        return float(np.exp(horizon * sups[0]))
 
 
 # ==========================================================================
@@ -1070,7 +1045,8 @@ class MaximalFunctionGrid:
     The sup over radii runs over the dyadic radii plus the degenerate
     single-point ball, which realizes the r -> 0 limit, so M f >= |f|
     pointwise.  Balls that leave the sampled domain are averaged over
-    in-domain points only and flagged boundary-affected.
+    in-domain points only and flagged boundary-affected.  The ball sums come
+    from one row-prefix pass in every dimension (see ``maximal_function``).
     """
 
     grid: PointGrid
@@ -1096,7 +1072,19 @@ def maximal_function(
     radii=None,
     depth: int = 6,
 ) -> MaximalFunctionGrid:
-    """Restricted local maximal function of |samples| on the grid."""
+    """Restricted local maximal function of |samples| on the grid.
+
+    Every dimension takes one path.  |samples| and a point count of 1 are
+    embedded in the ``(2m + 1)^d`` box of the grid, with prefix sums along
+    the last axis.  The lattice ball B(r) (``grid.ball_offsets(r)`` plus the
+    center) splits into rows along the last axis, one per leading offset j,
+    each of half-width w_j.  A row's sum at every box cell is one prefix
+    difference ``cs[..., hi + 1] - cs[..., lo]`` over the clipped window
+    [i - w_j, i + w_j], shifted by -j along the leading axes with zero fill,
+    and added to the ball's sums and counts.  Cells off the grid hold 0 in
+    both, so each ball averages over its in-domain points.  Cost per radius
+    is O(box * rows) time and O(box) memory; in d = 1 there is one row.
+    """
     samples = np.abs(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] != grid.n_points:
         raise GridError("samples length does not match grid")
@@ -1111,45 +1099,31 @@ def maximal_function(
         if radii.max() > radius_cap * (1.0 + MEMBERSHIP_SLACK):
             raise FieldError("max radius must be <= radius cap")
     values = samples.copy()  # degenerate single-point ball
-    if grid.dimension == 1:
-        values = _maximal_1d(grid, samples, radii, values)
-    else:
-        values = _maximal_nd(grid, samples, radii, values)
+    # slot 0 sums values, slot 1 counts points
+    box = np.stack([grid.embed(samples), grid.embed(np.ones(grid.n_points))])
+    cs = np.concatenate([np.zeros(box.shape[:-1] + (1,)), box.cumsum(-1)], -1)
+    width = box.shape[-1]
+    pos = np.arange(width)
+    every = (slice(None),)
+    for r in radii:
+        k = np.vstack([np.zeros((1, grid.dimension), np.int64), grid.ball_offsets(r)])
+        leads, row = np.unique(k[:, :-1], axis=0, return_inverse=True)
+        half = np.zeros(len(leads), np.int64)
+        np.maximum.at(half, row, np.abs(k[:, -1]))
+        total = np.zeros_like(box)
+        for lead, w in zip(leads, half):
+            if np.abs(lead).max(initial=0) >= width:
+                continue  # the whole row lies outside the box
+            lo = np.maximum(pos - w, 0)
+            hi = np.minimum(pos + w, width - 1)
+            rows = cs[..., hi + 1] - cs[..., lo]
+            dst = tuple(slice(max(-j, 0), width - max(j, 0)) for j in lead)
+            src = tuple(slice(max(j, 0), width - max(-j, 0)) for j in lead)
+            total[every + dst] += rows[every + src]
+        sums, counts = total[every + grid.box_index()]
+        values = np.maximum(values, sums / counts)
     boundary = ~grid.ball_mask(grid.radius - float(radii.max()))
     return MaximalFunctionGrid(grid, float(radius_cap), radii, values, boundary)
-
-
-def _maximal_1d(grid, samples, radii, values):
-    n = grid.n_points
-    cs = np.concatenate([[0.0], np.cumsum(samples)])
-    pos = np.arange(n)
-    for r in radii:
-        w = int(np.floor(r / grid.spacing * (1.0 + MEMBERSHIP_SLACK)))
-        lo = np.maximum(pos - w, 0)
-        hi = np.minimum(pos + w, n - 1)
-        sums = cs[hi + 1] - cs[lo]
-        counts = hi - lo + 1
-        values = np.maximum(values, sums / counts)
-    return values
-
-
-def _maximal_nd(grid, samples, radii, values):
-    from scipy import ndimage
-
-    box_vals = grid.embed(samples)
-    box_mask = grid.embed(np.ones(grid.n_points))
-    idx = grid.box_index()
-    for r in radii:
-        offsets = grid.ball_offsets(r)
-        w = int(np.abs(offsets).max())
-        foot = np.zeros((2 * w + 1,) * grid.dimension)
-        foot[(w,) * grid.dimension] = 1.0  # the center
-        foot[tuple((offsets + w).T)] = 1.0
-        sums = ndimage.correlate(box_vals, foot, mode="constant")
-        counts = ndimage.correlate(box_mask, foot, mode="constant")
-        avg = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
-        values = np.maximum(values, avg[idx])
-    return values
 
 
 def weak_type_check(
@@ -1211,22 +1185,20 @@ def calibrate_witness_constant(
     grad_samples: np.ndarray,
     n_pairs: int,
     seed: int = 0,
-    exclusion_factor: float = 2.0,
-    inflation: float = WITNESS_HEADROOM,
     grad_fn=None,
 ):
     """Empirical constant for the maximal-function continuity bound.
 
     Measures  max |b(x)-b(y)| / (|x-y| (M|grad b|(x) + M|grad b|(y)))  over
-    sampled grid-point pairs, excluding pairs within ``exclusion_factor * h``
+    sampled grid-point pairs, excluding pairs within ``SINGULAR_EXCLUSION * h``
     of declared singular points.  The sample mixes uniform pairs with
     short-range pairs (offsets of a few grid cells); the ratio sup lives on
     near-diagonal pairs, so the mixture keeps the sampled max stable across
     seeds.  Pairs with zero difference contribute a zero ratio; pairs with
     positive difference but zero denominator are skipped.  Returns the raw
     constant and a copy of the field carrying the calibrated witness
-    g = c_hat * inflation * M|grad b|  (the inflation is sampling-density
-    headroom and is recorded in the field params).
+    g = c_hat * WITNESS_HEADROOM * M|grad b|  (the headroom covers the
+    sampling density and is recorded in the field params).
     """
     if n_pairs < 1000:
         raise CalibrationError("need at least 1e3 pairs")
@@ -1241,7 +1213,7 @@ def calibrate_witness_constant(
     ib = np.concatenate([ib_u, ib_s])
     keep = ia != ib
     if field.singular_points:
-        zone = exclusion_factor * grid.spacing
+        zone = SINGULAR_EXCLUSION * grid.spacing
         for s in field.singular_points:
             sp = np.asarray(s, dtype=np.float64)
             da = np.sqrt(np.sum((grid.points[ia] - sp) ** 2, axis=1))
@@ -1263,14 +1235,14 @@ def calibrate_witness_constant(
         raise CalibrationError("all sampled pairs were skipped")
     c_hat = float(ratios.max()) if len(ratios) else 0.0
 
-    witness = _maximal_witness(mf, c_hat * inflation, grad_fn, field.modulus)
+    witness = _maximal_witness(mf, c_hat * WITNESS_HEADROOM, grad_fn, field.modulus)
     enriched = replace(
         field,
         witness=witness,
         params={
             **field.params,
             "witness_constant": c_hat,
-            "witness_inflation": inflation,
+            "witness_inflation": WITNESS_HEADROOM,
             "witness_pairs": int(len(num)),
         },
     )

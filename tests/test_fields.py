@@ -25,7 +25,7 @@ from rlflab.fields import (
     weak_type_check,
 )
 from rlflab.modulus import eval_rho, make_modulus
-from rlflab.numerics import grid_integral, make_grid
+from rlflab.numerics import ball_average, grid_integral, make_grid
 
 PI2_6 = math.pi**2 / 6.0
 
@@ -356,6 +356,32 @@ class TestMaximal:
         mf = maximal_function(grid, np.full(grid.n_points, 2.0), 0.5)
         np.testing.assert_allclose(mf.values, 2.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dimension, radius, cap",
+        [
+            (1, 1.0, 1.0),
+            (1, 1.0, 2.5),
+            (2, 1.0, 1.0),
+            (2, 1.0, 2.0),
+            (2, 1.0, 2.5),
+            (3, 0.5, 0.5),
+            (3, 0.5, 1.0),
+        ],
+    )
+    def test_matches_ball_average(self, dimension, radius, cap):
+        # every point and every radius against the masked average of
+        # numerics; caps of 2 and 2.5 grid radii give balls wider than the box
+        grid = make_grid(dimension, radius, 0.1)
+        f = np.random.default_rng(dimension).uniform(-1.0, 1.0, grid.n_points)
+        radii = maximal_function(grid, f, cap).radii
+        assert radii.max() == cap and len(radii) >= 3
+        for r in radii:
+            mf = maximal_function(grid, f, cap, radii=[r])
+            avg = [ball_average(grid, np.abs(f), x, r) for x in grid.points]
+            np.testing.assert_allclose(
+                mf.values, np.maximum(np.abs(f), avg), rtol=1e-13, atol=0.0
+            )
+
     def test_radii_validation(self):
         grid = make_grid(1, 1.0, 0.05)
         with pytest.raises(FieldError):
@@ -415,6 +441,15 @@ class TestCalibration:
         c2, _ = calibrate_witness_constant(f, grid, grad, 10_000, seed=202)
         assert np.isfinite(c1) and c1 > 0.0
         assert abs(c1 / c2 - 1.0) <= 0.20
+
+    def test_sobolev_two_d_witness(self):
+        # calibration grid B(2) at h = 0.01, maximal function up to radius 4
+        field = catalog_field("sobolev-singular", 2)
+        assert np.isfinite(field.params["witness_constant"])
+        assert field.params["witness_constant"] > 0.0
+        grid = make_grid(2, 3.0, 0.05)
+        g = field.witness(0.0, grid.points)
+        assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
 
     def test_near_pairs_are_neighbours(self):
         grid = make_grid(2, 1.0, 0.01)
