@@ -23,7 +23,6 @@ from .estimates import (
     EstimateError,
     cauchy_diagnostic,
     compactness_a,
-    field_l1_distance,
     regularity_set,
     stability_report,
     translation_constants,
@@ -220,10 +219,13 @@ def parse_config(path) -> ExperimentConfig:
 class _Pipeline:
     """Lazily built stages shared by the chosen suites.
 
-    Each mollified level is integrated once per run, on the largest ball any
-    chosen suite reads at that level (``SUITE_REACH``); every smaller ball is
-    served as a row restriction of that ensemble, which equals a direct
-    integration bit for bit.  A level whose integration flags non-finite
+    The cauchy, thm41, prop43 and thm44 bounds are stated with the rough
+    field's constants, so those suites pass the base field itself (built
+    once, with the config's modulus override).  Each mollified level is
+    integrated once per run, on the largest ball any chosen suite reads at
+    that level (``SUITE_REACH``); every smaller ball is served as a row
+    restriction of that ensemble, which equals a direct integration bit for
+    bit.  A level whose integration flags non-finite
     trajectories stops the run with a ``FlowError``.
     """
 
@@ -264,15 +266,6 @@ class _Pipeline:
             self._moll[level] = mollify(self.base_field(), MollifierKernel(level))
         return self._moll[level]
 
-    def representative(self, level: int):
-        """Mollified field carrying the base witness and divergence data."""
-        base = self.base_field()
-        return replace(
-            self.mollified(level),
-            witness=base.witness,
-            div_evaluator=base.div_evaluator,
-        )
-
     def ensemble(self, level: int, radius: float):
         """Trajectories of level ``level`` started on B(radius)."""
         key = (level, round(radius, 12))
@@ -309,14 +302,7 @@ def _stability_suite(pipe: _Pipeline):
             fa, fb = pipe.mollified(n), pipe.mollified(m)
             ea = pipe.ensemble(n, _reach(cfg, "stability", n))
             eb = pipe.ensemble(m, _reach(cfg, "stability", m))
-            deltas = cfg.deltas or (None,)
-            for delta in deltas:
-                if delta is None:
-                    grid = make_grid(
-                        cfg.d, cfg.R + cfg.T * fa.sup_bound, cfg.h
-                    )
-                    measured = field_l1_distance(fa, fb, ea.times, grid)
-                    delta = measured if measured > 0.0 else 1e-6
+            for delta in cfg.deltas or (None,):
                 reports.append(
                     stability_report(
                         fa, fb, ea, eb, cfg.R, delta=delta, slack=cfg.slack
@@ -341,7 +327,7 @@ def _regularity_suite(pipe: _Pipeline):
     ens = pipe.ensemble(top, _reach(cfg, "regularity", top))
     _, report = regularity_set(
         ens,
-        pipe.representative(top),
+        pipe.base_field(),
         cfg.R,
         pipe.cfg.effective_epsilon(),
         depth=cfg.radii_depth,
@@ -357,17 +343,13 @@ def _compactness_suite(pipe: _Pipeline):
     top = cfg.levels[-1]
     reports = []
     ens = pipe.ensemble(top, _reach(cfg, "compactness", top))
-    rep_field = pipe.representative(top)
     for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0):
-        reports.append(
-            compactness_a(ens, rep_field, r, cfg.R, slack=cfg.slack)
-        )
+        reports.append(compactness_a(ens, base, r, cfg.R, slack=cfg.slack))
 
     moll = [pipe.mollified(n) for n in cfg.levels]
     consts = translation_constants(
         base, moll, cfg.R, cfg.T, cfg.h, ens.times
     )
-    modulus = base.modulus
     radii = [cfg.R / 4.0 / 2**j for j in range(5)]
     radii = [r for r in radii if r >= cfg.h]
     for n in cfg.levels:
@@ -375,7 +357,7 @@ def _compactness_suite(pipe: _Pipeline):
         for r in radii:
             reports.append(
                 translation_functional(
-                    e, r, cfg.R, consts, modulus, slack=cfg.slack
+                    e, r, cfg.R, consts, base.modulus, slack=cfg.slack
                 )
             )
     return reports

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_SLACK = 0.05
+# thm31 delta when none is given and the two fields coincide on the grid
+ZERO_DISTANCE_DELTA = 1e-6
 
 # ratio of a ball's volume to its intersection with an equal ball centered
 # one radius away; interval/lens/spindle geometry per dimension
@@ -86,6 +88,20 @@ def _report(estimate_id: str, lhs, rhs, constants: dict, metadata: dict, **kw):
                 + (f" (non-finite: {', '.join(culprits)})" if culprits else "")
             )
     return make_report(estimate_id, lhs, rhs, constants, metadata, **kw)
+
+
+def _metadata(ensemble: TrajectoryEnsemble, field=None, n=None, m="") -> dict:
+    """The six metadata keys of every report: id and series truncation K of
+    ``field`` (the ensemble's id and no K without one, as in thm44), levels
+    n (default: the ensemble's) and m, and the ensemble's h and tau."""
+    return {
+        "field": ensemble.field_id if field is None else field.catalog_id,
+        "n": ensemble.mollification_level if n is None else n,
+        "m": m,
+        "h": ensemble.grid.spacing,
+        "tau": ensemble.tau,
+        "K": "" if field is None else field.params.get("terms", ""),
+    }
 
 
 def lens_constant(dimension: int) -> float:
@@ -192,21 +208,18 @@ def stability_report(
     region_radius: float,
     delta: float | None = None,
     slack: float = DEFAULT_SLACK,
-    witness_choice: str = "a",
 ) -> EstimateReport:
     """Stability inequality: psi_delta of the sup distance vs witness norms.
 
     LHS integrates psi_delta(sup_t |X - X~|) over B(region_radius); RHS is
     (L + L~) ||g|| + (L~/delta) ||b - b~|| with both L1 norms over
-    [0, T] x B(R_bar), R_bar = R + T max(||b||, ||b~||).  The witness g is
-    the first field's by default (the theorem's reading); pass
-    ``witness_choice="b"`` to use the second field's, which is recorded in
-    the constants either way.
+    [0, T] x B(R_bar), R_bar = R + T max(||b||, ||b~||), and g the first
+    field's witness (the theorem's reading).  ``||b - b~||`` is measured
+    once; when ``delta`` is omitted it is also delta, or
+    ``ZERO_DISTANCE_DELTA`` when the two fields coincide on the grid.
     """
     if not ens_a.same_mesh(ens_b):
         raise EstimateError("ensembles must share grid and mesh")
-    if witness_choice not in ("a", "b"):
-        raise EstimateError("witness_choice must be 'a' or 'b'")
     modulus = _require_modulus(field_a)
     cross = (
         field_b.modulus is not None
@@ -218,10 +231,11 @@ def stability_report(
         raise EstimateError("ensemble grid does not cover the report region")
     r_bar = region_radius + horizon * max(field_a.sup_bound, field_b.sup_bound)
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
+    b_dist = field_l1_distance(field_a, field_b, ens_a.times, norm_grid)
     if delta is None:
-        delta = field_l1_distance(field_a, field_b, ens_a.times, norm_grid)
+        delta = b_dist if b_dist > 0.0 else ZERO_DISTANCE_DELTA
     if not delta > 0.0:
-        raise EstimateError("delta must be positive (fields coincide?)")
+        raise EstimateError("delta must be positive")
 
     psi = PsiFunctional(modulus, float(delta))
     mask = grid.ball_mask(region_radius)
@@ -230,9 +244,7 @@ def stability_report(
         sum(psi.psi(float(v)) for v in sup) * grid.cell_volume
     )
 
-    witness = _require_witness(field_a if witness_choice == "a" else field_b)
-    g_norm = witness.l1_norm(ens_a.times, norm_grid)
-    b_dist = field_l1_distance(field_a, field_b, ens_a.times, norm_grid)
+    g_norm = _require_witness(field_a).l1_norm(ens_a.times, norm_grid)
     l_a = compressibility_constant(field_a, norm_grid, horizon)
     l_b = compressibility_constant(field_b, norm_grid, horizon)
     rhs = (l_a + l_b) * g_norm + l_b / delta * b_dist
@@ -247,24 +259,16 @@ def stability_report(
         "R_bar": r_bar,
         "g_norm": g_norm,
         "b_l1_distance": b_dist,
-        "witness_choice": witness_choice,
+        "witness_choice": "a",
         "cross_modulus": cross,
         **budget,
-    }
-    metadata = {
-        "field": field_a.catalog_id,
-        "n": ens_a.mollification_level,
-        "m": ens_b.mollification_level,
-        "h": grid.spacing,
-        "tau": ens_a.tau,
-        "K": field_a.params.get("terms", ""),
     }
     return _report(
         "thm31",
         lhs,
         rhs,
         constants,
-        metadata,
+        _metadata(ens_a, field_a, m=ens_b.mollification_level),
         slack=slack,
         additive=budget["additive_total"],
     )
@@ -354,21 +358,13 @@ def cauchy_diagnostic(
                 "g_norm_wide": g_norm_wide,
                 **budget,
             }
-            metadata = {
-                "field": base_field.catalog_id,
-                "n": levels[i],
-                "m": levels[j],
-                "h": grid.spacing,
-                "tau": first.tau,
-                "K": base_field.params.get("terms", ""),
-            }
             reports.append(
                 _report(
                     "cauchy",
                     d_nm,
                     bound,
                     constants,
-                    metadata,
+                    _metadata(first, base_field, levels[i], levels[j]),
                     slack=slack,
                     additive=budget["additive_total"],
                 )
@@ -482,6 +478,8 @@ def regularity_set(
 ):
     """Regularity set E and its uniform continuity bound.
 
+    ``field`` is the rough field b whose witness g, modulus, sup bound and
+    divergence the theorem states; ``ensemble`` is a mollified level's flow.
     Assembles Phi(x) = integral of g along the trajectory, measures the
     weak-type constant of the maximal operator on Phi itself, forms
     C_bar = 3 (1 + C_d) L ||g||_L1([0,T] x B(3R + T||b||)), takes
@@ -554,15 +552,19 @@ def regularity_set(
         )
         diff = ensemble.positions[ia] - ensemble.positions[ib]
         max_dist = np.sqrt(np.sum(diff * diff, axis=2)).max(axis=1)
-        bounds = np.empty_like(seps)
-        for r_u in np.unique(seps):
-            fam = PsiFunctional(modulus, float(r_u))
-            at_cap = fam.psi(xi_cap)
-            if at_cap <= target:
-                bound = np.inf  # bound exceeds any attainable separation
-            else:
-                bound = fam.psi_inverse(target, tol=1e-9)
-            bounds[seps == r_u] = bound
+        # one psi_r(xi_cap) per lattice distance h sqrt(k), k an integer:
+        # rounding splits one distance into several float separations
+        steps = grid.indices[ia] - grid.indices[ib]
+        lattice = np.sum(steps * steps, axis=1)
+        bounds = np.full_like(seps, np.inf)  # beyond any attainable distance
+        for k in np.unique(lattice):
+            r = grid.spacing * math.sqrt(k)
+            if PsiFunctional(modulus, r).psi(xi_cap) <= target:
+                continue
+            at = lattice == k
+            for r_u in np.unique(seps[at]):
+                fam = PsiFunctional(modulus, float(r_u))
+                bounds[at & (seps == r_u)] = fam.psi_inverse(target, tol=1e-9)
         n_vacuous = int(np.isinf(bounds).sum())
         finite = np.isfinite(bounds)
         ratios = np.zeros_like(bounds)
@@ -590,16 +592,8 @@ def regularity_set(
         "n_vacuous_bounds": n_vacuous,
         "xi_cap": xi_cap,
     }
-    metadata = {
-        "field": field.catalog_id,
-        "n": ensemble.mollification_level,
-        "m": "",
-        "h": grid.spacing,
-        "tau": ensemble.tau,
-        "K": field.params.get("terms", ""),
-    }
     report = _report(
-        "thm41", lhs, 1.0, constants, metadata, slack=slack
+        "thm41", lhs, 1.0, constants, _metadata(ensemble, field), slack=slack
     )
     return reg, report
 
@@ -618,8 +612,10 @@ def compactness_a(
 ) -> EstimateReport:
     """a(r, R, X) = integral over B(R) of sup_t Q(t, x, r) against its bound.
 
-    Requires 0 < r < R/2 and an ensemble grid covering B(R + r).  The bound
-    is |B(R)| + 2 L ||g||_L1([0,T] x B(3R/2 + 2T||b||)).
+    ``field`` is the rough field b behind the flow X; its modulus, witness,
+    sup bound and divergence enter.  Requires 0 < r < R/2 and an ensemble
+    grid covering B(R + r).  The bound is
+    |B(R)| + 2 L ||g||_L1([0,T] x B(3R/2 + 2T||b||)).
     """
     if not 0.0 < radius < region_radius / 2.0:
         raise EstimateError("need 0 < r < R/2")
@@ -644,15 +640,9 @@ def compactness_a(
         "g_norm": g_norm,
         "ball_measure": region_measure,
     }
-    metadata = {
-        "field": field.catalog_id,
-        "n": ensemble.mollification_level,
-        "m": "",
-        "h": grid.spacing,
-        "tau": ensemble.tau,
-        "K": field.params.get("terms", ""),
-    }
-    return _report("prop43", lhs, rhs, constants, metadata, slack=slack)
+    return _report(
+        "prop43", lhs, rhs, constants, _metadata(ensemble, field), slack=slack
+    )
 
 
 # --------------------------------------------------------------------------
@@ -730,12 +720,6 @@ def translation_functional(
         "L": consts.base_l,
         "sup_g_norm": consts.sup_g_norm,
     }
-    metadata = {
-        "field": ensemble.field_id,
-        "n": ensemble.mollification_level,
-        "m": "",
-        "h": grid.spacing,
-        "tau": ensemble.tau,
-        "K": "",
-    }
-    return _report("thm44", lhs, rhs, constants, metadata, slack=slack)
+    return _report(
+        "thm44", lhs, rhs, constants, _metadata(ensemble), slack=slack
+    )

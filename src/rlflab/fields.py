@@ -380,16 +380,6 @@ def constant_witness(value: float, modulus=None) -> WitnessFunction:
 # mollifier kernels
 # ==========================================================================
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    """Unnormalized radial bump exp(-1/(1-|u|^2)) supported on |u| < 1."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
-
-
 @functools.cache
 def _bump_normalizer(dimension: int) -> float:
     """1 / integral of the bump over the unit ball, per dimension."""
@@ -440,10 +430,6 @@ class MollifierKernel:
     def __post_init__(self):
         if self.level < 1:
             raise FieldError("kernel level must be a positive integer")
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0 / self.level
 
     def density(self, z: np.ndarray, dimension: int) -> np.ndarray:
         """Scaled kernel density chi_n at points z of shape (m, d)."""
@@ -1070,7 +1056,6 @@ def maximal_function(
     samples: np.ndarray,
     radius_cap: float,
     radii=None,
-    depth: int = 6,
 ) -> MaximalFunctionGrid:
     """Restricted local maximal function of |samples| on the grid.
 
@@ -1089,7 +1074,7 @@ def maximal_function(
     if samples.shape[0] != grid.n_points:
         raise GridError("samples length does not match grid")
     if radii is None:
-        radii = dyadic_radii(radius_cap, grid.spacing, depth)
+        radii = dyadic_radii(radius_cap, grid.spacing)
     else:
         radii = np.asarray(radii, dtype=np.float64)
         if len(radii) == 0:
@@ -1132,7 +1117,6 @@ def weak_type_check(
     region_radius: float,
     radius_cap: float,
     alphas,
-    depth: int = 6,
     metadata: dict | None = None,
 ) -> EstimateReport:
     """Measure the weak-type superlevel bound of M_lambda on |samples|.
@@ -1146,7 +1130,7 @@ def weak_type_check(
         raise FieldError("thresholds must be positive")
     if grid.radius < region_radius + radius_cap - MEMBERSHIP_SLACK:
         raise FieldError("grid must cover B(region_radius + radius_cap)")
-    mf = maximal_function(grid, samples, radius_cap, depth=depth)
+    mf = maximal_function(grid, samples, radius_cap)
     inside = grid.ball_mask(region_radius)
     integral = grid_integral(grid, np.abs(samples))
     cell = grid.cell_volume

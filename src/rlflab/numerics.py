@@ -199,12 +199,22 @@ def _check_radius(radius: float, spacing: float) -> None:
 
 
 def _lattice_ball(dimension: int, radius: float, spacing: float) -> np.ndarray:
-    """Integer vectors i with ``|i * spacing| <= radius``, lexicographic."""
+    """Integer vectors i with ``|i * spacing| <= radius``, lexicographic,
+    cut from the cube ``[-m, m]^d``; a cube that cannot be allocated raises
+    a GridError naming its shape and size."""
     m = int(np.floor(radius / spacing * (1.0 + MEMBERSHIP_SLACK)))
     axis = np.arange(-m, m + 1, dtype=np.int64)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    indices = np.stack(mesh, axis=-1).reshape(-1, dimension)
-    return indices[_in_ball(indices, radius, spacing)]
+    try:
+        mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
+        indices = np.stack(mesh, axis=-1).reshape(-1, dimension)
+        return indices[_in_ball(indices, radius, spacing)]
+    except MemoryError:
+        shape = (2 * m + 1,) * dimension + (dimension,)
+        gib = 8.0 * np.prod(shape) / 2**30
+        raise GridError(
+            f"cannot allocate the {shape} lattice cube of B({radius:g}) at "
+            f"spacing {spacing:g}: {gib:.1f} GiB"
+        ) from None
 
 
 def _in_ball(indices: np.ndarray, radius: float, spacing: float) -> np.ndarray:

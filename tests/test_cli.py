@@ -174,6 +174,54 @@ class TestRunExperiment:
         assert "(257, 101, 3) positions" in err and "GiB" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_failed_lattice_allocation_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the d = 3 calibration grid B(2) at h = 0.01 is cut from a 401^3
+        # cube; fail any cube past 10^6 cells before it is allocated
+        meshgrid = np.meshgrid
+
+        def no_memory(*axes, **kwargs):
+            if np.prod([len(a) for a in axes]) > 10**6:
+                raise MemoryError
+            return meshgrid(*axes, **kwargs)
+
+        monkeypatch.setattr(np, "meshgrid", no_memory)
+        path = write_config(
+            tmp_path, "field = sobolev-singular\nd = 3\nh = 0.25\ntau = 0.01\n"
+        )
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: GridError: cannot allocate the (401, 401, 401, 3) lattice "
+            "cube of B(2) at spacing 0.01: 1.4 GiB\n"
+        )
+
+    def test_stability_one_distance_per_pair(self, tmp_path, monkeypatch):
+        import rlflab.cli as cli
+        import rlflab.estimates as estimates
+
+        calls = []
+        distance = estimates.field_l1_distance
+
+        def counted(fa, fb, times, grid):
+            calls.append((fa.mollification_level, fb.mollification_level))
+            return distance(fa, fb, times, grid)
+
+        # the CLI must not measure the distance itself
+        for module in (cli, estimates):
+            monkeypatch.setattr(
+                module, "field_l1_distance", counted, raising=False
+            )
+        cfg = parse_config(
+            write_config(tmp_path, FAST_CONSTANT.replace("4,8", "4,8,16"))
+        )
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, "stability") == 0
+        assert calls == [(4, 8), (4, 16), (8, 16)]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = parse_config(write_config(tmp_path, FAST_CONSTANT))
         cfg1.out = str(tmp_path / "a")

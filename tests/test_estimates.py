@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,11 +67,13 @@ class TestStability:
         )
         assert rep.passed
 
-    def test_witness_choice_recorded(self, moll, ens_b1):
-        rep = stability_report(
-            moll[8], moll[16], ens_b1[8], ens_b1[16], 1.0, witness_choice="b"
-        )
-        assert rep.constants["witness_choice"] == "b"
+    def test_coinciding_fields_default_delta(self):
+        # two levels of one constant field: ||b - b~|| = 0, delta falls back
+        _, pairs = _const_ensembles([1.0, 1.0], level=4)
+        (f4, e4), (f8, e8) = pairs
+        rep = stability_report(f4, f8, e4, e8, 1.0)
+        assert rep.constants["b_l1_distance"] == 0.0
+        assert rep.constants["delta"] == 1e-6
         assert rep.passed
 
     def test_every_witnessed_catalog_field_passes(self):
@@ -190,6 +193,27 @@ class TestRegularitySet:
     def test_epsilon_guard(self, ens_b3_top, moll):
         with pytest.raises(EstimateError):
             regularity_set(ens_b3_top, moll[32], 1.0, 5.0)
+
+
+class TestBaseFieldConstants:
+    """thm41 and prop43 read b's constants from the base field itself."""
+
+    def test_same_reports_as_dressed_level(self, sobolev):
+        moll = mollify(sobolev, MollifierKernel(8))
+        dressed = replace(
+            moll, witness=sobolev.witness, div_evaluator=sobolev.div_evaluator
+        )
+        ens = integrate_ensemble(moll, make_grid(1, 1.5, 0.05), 0.1, 0.01)
+        _, reg = regularity_set(ens, sobolev, 0.5, 0.1, n_pair_samples=500)
+        _, reg_dressed = regularity_set(
+            ens, dressed, 0.5, 0.1, n_pair_samples=500
+        )
+        assert reg.to_json() == reg_dressed.to_json()
+        for r in (0.0625, 0.125):
+            assert (
+                compactness_a(ens, sobolev, r, 0.5).to_json()
+                == compactness_a(ens, dressed, r, 0.5).to_json()
+            )
 
 
 # (d, h) pairs for the identity-flow sweeps; d = 2 takes a coarser spacing
