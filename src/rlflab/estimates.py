@@ -448,6 +448,26 @@ def _q_sweep(
     return rows, q_sup
 
 
+def _live_radii(ensemble: TrajectoryEnsemble, radii, threshold: float):
+    """The radii at which some Q(t, x, r) may exceed ``threshold``.
+
+    With D = max over x and t of |X_t(x) - x|, every separation
+    |X_t(x + k h) - X_t(x)| is at most |k h| + 2D; psi_r is nondecreasing
+    and at most xi/r, and a ball average never exceeds its largest term, so
+    Q(t, x, r) <= (r (1 + MEMBERSHIP_SLACK) + 2D)/r at every center.  A
+    radius whose bound (with 1e-9 relative room for rounding) is at most
+    ``threshold`` cannot exclude a center; it is kept when D is not finite.
+    """
+    grid = ensemble.grid
+    sq = np.zeros((grid.n_points, ensemble.n_times))
+    for j in range(grid.dimension):
+        sq += np.square(ensemble.positions[..., j] - grid.points[:, j, None])
+    reach = 2.0 * math.sqrt(sq.max(initial=0.0))
+    radii = np.asarray(radii, dtype=np.float64)
+    bound = (radii * (1.0 + MEMBERSHIP_SLACK) + reach) / radii
+    return radii[~(bound * (1.0 + 1e-9) <= threshold)]
+
+
 @dataclass(frozen=True)
 class RegularitySet:
     """The grid subset E where the regularity functional stays small."""
@@ -490,6 +510,15 @@ def regularity_set(
     of E at every mesh time.  Returns the set and a thm41 report whose LHS
     is the worst distance/bound ratio (0 when the bound exceeds the largest
     attainable separation, which it typically does at desk scale).
+
+    E is decided in two steps.  The displacement bound of ``_live_radii``
+    caps Q at each dyadic radius from D = max |X_t(x) - x| alone; a radius
+    whose cap is at most the threshold cannot exclude a center and is not
+    swept.  The Q sweep then runs over the remaining radii (none, when
+    every cap is below the threshold).  In the pair check, psi_r(xi_cap)
+    falls as r grows: when it is at most the target less 1e-6 at the
+    closest sampled lattice distance, every bound is vacuous and no other
+    distance is evaluated.
     """
     grid = ensemble.grid
     modulus = _require_modulus(field)
@@ -530,7 +559,8 @@ def regularity_set(
     threshold = max(c_bar / epsilon, 1.0)
 
     radii = dyadic_radii(2.0 * region_radius, grid.spacing, depth)
-    rows, q_max = _q_sweep(ensemble, modulus, radii, region_radius)
+    live = _live_radii(ensemble, radii, threshold)
+    rows, q_max = _q_sweep(ensemble, modulus, live, region_radius)
     member = q_max <= threshold
     e_rows = rows[member]
     deficit = float((len(rows) - len(e_rows)) * grid.cell_volume)
@@ -557,14 +587,21 @@ def regularity_set(
         steps = grid.indices[ia] - grid.indices[ib]
         lattice = np.sum(steps * steps, axis=1)
         bounds = np.full_like(seps, np.inf)  # beyond any attainable distance
-        for k in np.unique(lattice):
-            r = grid.spacing * math.sqrt(k)
-            if PsiFunctional(modulus, r).psi(xi_cap) <= target:
-                continue
-            at = lattice == k
-            for r_u in np.unique(seps[at]):
-                fam = PsiFunctional(modulus, float(r_u))
-                bounds[at & (seps == r_u)] = fam.psi_inverse(target, tol=1e-9)
+        ks = np.unique(lattice)
+        # psi_r(xi_cap) falls as r grows: vacuous at the closest distance,
+        # with room for the quadrature error, means vacuous at every one
+        r_min = grid.spacing * math.sqrt(ks[0])
+        if PsiFunctional(modulus, r_min).psi(xi_cap) + 1e-6 > target:
+            for k in ks:
+                r = grid.spacing * math.sqrt(k)
+                if PsiFunctional(modulus, r).psi(xi_cap) <= target:
+                    continue
+                at = lattice == k
+                for r_u in np.unique(seps[at]):
+                    fam = PsiFunctional(modulus, float(r_u))
+                    bounds[at & (seps == r_u)] = fam.psi_inverse(
+                        target, tol=1e-9
+                    )
         n_vacuous = int(np.isinf(bounds).sum())
         finite = np.isfinite(bounds)
         ratios = np.zeros_like(bounds)

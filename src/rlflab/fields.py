@@ -506,6 +506,11 @@ class VectorField:
     # each component in closed form
     series: SeriesEvaluator | None = None
 
+    def __post_init__(self):
+        # (grid, sup of [div b]^-) pairs measured by compressibility_constant;
+        # a value-idempotent cache
+        object.__setattr__(self, "_div_sups", [])
+
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
         ev = self.exact_evaluator or self.evaluator
         return np.asarray(ev(t, np.asarray(pts, np.float64)), np.float64)
@@ -667,9 +672,9 @@ def _make_osgood_sum(dimension, terms=1000):
 
 def _sobolev_profile(pts: np.ndarray, alpha: float, cap: float):
     r = np.sqrt(np.sum(pts * pts, axis=1))
-    out = np.full_like(r, cap)
-    pos = r > 0.0
-    out[pos] = np.minimum(r[pos] ** (-alpha), cap)
+    with np.errstate(divide="ignore"):  # r = 0 gives inf, capped below
+        out = np.power(r, -alpha)
+    np.minimum(out, cap, out=out)
     bad = ~np.isfinite(r)
     if bad.any():
         out[bad] = np.nan
@@ -1012,11 +1017,16 @@ def compressibility_constant(
     """L = exp(horizon * grid sup of [div b]^- at t = 0), the analytic bound
     for a field that does not depend on t.
 
-    An exponent past the float range gives inf, which the reports reject.
+    The sup is measured once per field and grid and kept on the field.  An
+    exponent past the float range gives inf, which the reports reject.
     """
-    _, sups = divergence_negative_part(field, grid)
+    sup = next((v for g, v in field._div_sups if g == grid), None)
+    if sup is None:
+        _, sups = divergence_negative_part(field, grid)
+        sup = sups[0]
+        field._div_sups.append((grid, sup))
     with np.errstate(over="ignore"):
-        return float(np.exp(horizon * sups[0]))
+        return float(np.exp(horizon * sup))
 
 
 # ==========================================================================

@@ -222,6 +222,33 @@ class TestRunExperiment:
         assert run_experiment(cfg, "stability") == 0
         assert calls == [(4, 8), (4, 16), (8, 16)]
 
+    @pytest.mark.parametrize(
+        "suite, calls",
+        [
+            ("stability", [4, 8, 16, 32]),  # each level once, not 12 times
+            ("compactness", [None]),  # the base field once, not 4 times
+        ],
+    )
+    def test_divergence_measured_once_per_field_and_grid(
+        self, tmp_path, monkeypatch, suite, calls
+    ):
+        import rlflab.fields as fields
+
+        seen = []
+        measure = fields.divergence_negative_part
+
+        def counted(field, grid, times=None):
+            seen.append(field.mollification_level)
+            return measure(field, grid, times)
+
+        monkeypatch.setattr(fields, "divergence_negative_part", counted)
+        cfg = parse_config(
+            write_config(tmp_path, FAST_CONSTANT.replace("4,8", "4,8,16,32"))
+        )
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, suite) == 0
+        assert sorted(seen, key=lambda n: n or 0) == calls
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = parse_config(write_config(tmp_path, FAST_CONSTANT))
         cfg1.out = str(tmp_path / "a")

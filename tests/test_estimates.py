@@ -7,6 +7,7 @@ import pytest
 
 from rlflab.estimates import (
     EstimateError,
+    _live_radii,
     _q_sweep,
     cauchy_diagnostic,
     compactness_a,
@@ -18,10 +19,16 @@ from rlflab.estimates import (
     translation_constants,
     translation_functional,
 )
-from rlflab.fields import MollifierKernel, catalog_field, mollify
+from rlflab.fields import MollifierKernel, catalog_field, dyadic_radii, mollify
 from rlflab.flow import integrate_ensemble
 from rlflab.modulus import PsiFunctional, make_modulus
-from rlflab.numerics import ball_measure, grid_integral, make_grid
+from rlflab.numerics import (
+    MEMBERSHIP_SLACK,
+    ball_measure,
+    grid_integral,
+    make_grid,
+)
+from rlflab.reporting import make_report
 
 LIN = make_modulus("linear")
 LOG = make_modulus("log")
@@ -193,6 +200,114 @@ class TestRegularitySet:
     def test_epsilon_guard(self, ens_b3_top, moll):
         with pytest.raises(EstimateError):
             regularity_set(ens_b3_top, moll[32], 1.0, 5.0)
+
+
+class TestLiveRadii:
+    """A radius the displacement bound skips never excludes a center."""
+
+    @staticmethod
+    def _check(ens, modulus, radii, center_radius):
+        # _q_sweep over a set of radii is the elementwise max of its
+        # one-radius sweeps, so each radius is swept once
+        per = {r: _q_sweep(ens, modulus, [r], center_radius)[1] for r in radii}
+        full = np.zeros(len(per[radii[0]]))
+        for r in radii:
+            full = np.maximum(full, per[r])
+        move = ens.positions - ens.grid.points[:, None, :]
+        reach = 2.0 * np.sqrt(np.sum(move * move, axis=2)).max()
+        bounds = (radii * (1.0 + MEMBERSHIP_SLACK) + reach) / radii
+        thresholds = [1.0, *np.percentile(full, [0, 25, 50, 75, 100]), *bounds]
+        skipped = 0
+        for threshold in thresholds:
+            live = _live_radii(ens, radii, threshold)
+            q_live = np.zeros_like(full)
+            for r in live:
+                q_live = np.maximum(q_live, per[r])
+            assert np.array_equal(q_live <= threshold, full <= threshold)
+            skipped += len(radii) - len(live)
+        assert skipped > 0
+        return full
+
+    def test_expanding_linear_flow(self):
+        # slope 3: separations grow past the radius, so Q exceeds 1 and
+        # varies across centers, and the displacement D is what keeps the
+        # bound above it
+        f = catalog_field("linear", 1, slope=3.0)
+        ens = integrate_ensemble(f, make_grid(1, 1.5, 0.02), 1.0, 0.01)
+        radii = dyadic_radii(1.0, 0.02, 6)
+        full = self._check(ens, f.modulus, radii, 0.5)
+        assert full.min() > 1.0 and full.max() > full.min()
+        np.testing.assert_array_equal(
+            full, _q_sweep(ens, f.modulus, radii, 0.5)[1]
+        )
+
+    def test_mollified_osgood_flow(self, ens_b3_top, osgood):
+        radii = dyadic_radii(1.0, ens_b3_top.grid.spacing, 6)
+        self._check(ens_b3_top, osgood.modulus, radii, 0.5)
+
+
+def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
+    """regularity_set's pair check with one psi_r(xi_cap) per lattice
+    distance and no vacuity shortcut: (worst ratio, vacuous bounds)."""
+    grid = ens.grid
+    target = 2.0 * lens_constant(grid.dimension) * threshold
+    xi_cap = 2.0 * ens.growth_radius() + 1.0
+    rng = np.random.default_rng(seed)
+    ia = rng.choice(e_rows, n_pairs)
+    ib = rng.choice(e_rows, n_pairs)
+    keep = ia != ib
+    ia, ib = ia[keep], ib[keep]
+    seps = np.sqrt(np.sum((grid.points[ia] - grid.points[ib]) ** 2, axis=1))
+    diff = ens.positions[ia] - ens.positions[ib]
+    max_dist = np.sqrt(np.sum(diff * diff, axis=2)).max(axis=1)
+    steps = grid.indices[ia] - grid.indices[ib]
+    lattice = np.sum(steps * steps, axis=1)
+    bounds = np.full_like(seps, np.inf)
+    for k in np.unique(lattice):
+        r = grid.spacing * math.sqrt(k)
+        if PsiFunctional(modulus, r).psi(xi_cap) <= target:
+            continue
+        at = lattice == k
+        for r_u in np.unique(seps[at]):
+            fam = PsiFunctional(modulus, float(r_u))
+            bounds[at & (seps == r_u)] = fam.psi_inverse(target, tol=1e-9)
+    finite = np.isfinite(bounds)
+    ratios = np.zeros_like(bounds)
+    ratios[finite] = max_dist[finite] / bounds[finite]
+    return float(ratios.max(initial=0.0)), int((~finite).sum())
+
+
+class TestPairCheckShortcut:
+    """The thm41 report with and without the vacuity shortcut."""
+
+    @pytest.mark.parametrize("epsilon, fires", [(0.01, True), (0.4, False)])
+    def test_report_matches_per_distance_loop(
+        self, linear_contracting, epsilon, fires
+    ):
+        f = linear_contracting
+        grid = make_grid(1, 0.75, 0.01)
+        ens = integrate_ensemble(f, grid, 0.01, 0.005)
+        reg, rep = regularity_set(ens, f, 0.25, epsilon, n_pair_samples=500)
+        target = 2.0 * lens_constant(1) * reg.threshold
+        xi_cap = rep.constants["xi_cap"]
+        closest = PsiFunctional(f.modulus, grid.spacing).psi(xi_cap)
+        assert (closest + 1e-6 <= target) == fires
+        assert (reg.threshold == 1.0) != fires
+        worst, n_vacuous = _pair_check_by_distance(
+            ens, f.modulus, reg.point_indices, reg.threshold, 500, 20260809
+        )
+        assert (worst > 0.0) != fires  # some bound is finite
+        deficit_ok = reg.deficit <= epsilon * (1.0 + rep.slack)
+        lhs = worst if deficit_ok else max(worst, 2.0 + rep.slack)
+        expect = make_report(
+            "thm41",
+            lhs,
+            1.0,
+            {**rep.constants, "n_vacuous_bounds": n_vacuous},
+            rep.metadata,
+            slack=rep.slack,
+        )
+        assert rep.to_json() == expect.to_json()
 
 
 class TestBaseFieldConstants:

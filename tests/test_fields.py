@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rlflab.fields import (
     MollifierKernel,
     SeriesEvaluator,
     _near_pairs,
+    _sobolev_profile,
     _tail_cache_path,
     _tail_table,
     calibrate_witness_constant,
@@ -129,6 +131,40 @@ class TestCatalog:
         assert sobolev.sup_bound == 10.0
         assert sobolev.witness is not None
         assert sobolev.witness.provenance == "calibrated"
+
+    @pytest.mark.parametrize("d, alpha", [(1, 0.3), (2, 0.3), (2, 1.5)])
+    def test_sobolev_profile_matches_gather_formula(self, d, alpha):
+        # min(r^-alpha, cap) off the origin, cap at it, NaN where r is not
+        # finite, as the masked gather-and-scatter form computes it
+        cap = 10.0
+        r_cap = cap ** (-1.0 / alpha)
+        radii = [
+            0.0,
+            1e-320,
+            np.nextafter(r_cap, 0.0),
+            r_cap,
+            np.nextafter(r_cap, np.inf),
+            0.5,
+            1e300,
+            np.inf,
+            np.nan,
+        ]
+        rows = [[r] + [0.0] * (d - 1) for r in radii]
+        if d == 2:
+            rows += [[0.6 * r, -0.8 * r] for r in radii]
+        pts = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sqrt(np.sum(pts * pts, axis=1))
+            want = np.full_like(r, cap)
+            pos = r > 0.0
+            want[pos] = np.minimum(r[pos] ** (-alpha), cap)
+            want[~np.isfinite(r)] = np.nan
+            got, got_r = _sobolev_profile(pts, alpha, cap)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_r, r, equal_nan=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # r = 0 warns of no division
+            assert _sobolev_profile(np.zeros((1, d)), alpha, cap)[0][0] == cap
 
     def test_linear_inside_flat_region(self, linear_contracting):
         x = np.array([[0.5], [-1.0], [2.0]])
