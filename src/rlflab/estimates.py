@@ -27,6 +27,7 @@ from .fields import (
     WitnessFunction,
     compressibility_constant,
     dyadic_radii,
+    measured_once,
     weak_type_check,
 )
 from .flow import TrajectoryEnsemble, sup_distance
@@ -37,6 +38,7 @@ from .numerics import (
     ball_measure,
     grid_integral,
     make_grid,
+    split_rows,
 )
 from .reporting import EstimateReport, make_report
 
@@ -129,6 +131,30 @@ def field_l1_distance(
     return float((times[-1] - times[0]) * space)
 
 
+def _field_distance(fa, fb, times, grid: PointGrid) -> float:
+    """``field_l1_distance``, measured once per pair of fields, grid and time
+    span and kept on ``fa``."""
+    return measured_once(
+        fa,
+        ("l1_distance", float(times[0]), float(times[-1])),
+        grid,
+        lambda: field_l1_distance(fa, fb, times, grid),
+        other=fb,
+    )
+
+
+def _witness_norm(field: VectorField, times, grid: PointGrid) -> float:
+    """The L1 norm of ``field``'s witness over [times] x grid, measured once
+    per field, grid and time span and kept on the field."""
+    witness = _require_witness(field)
+    return measured_once(
+        field,
+        ("witness_l1", float(times[0]), float(times[-1])),
+        grid,
+        lambda: witness.l1_norm(times, grid),
+    )
+
+
 def _require_witness(field: VectorField) -> WitnessFunction:
     if field.witness is None:
         raise EstimateError(f"field {field.catalog_id!r} carries no witness")
@@ -215,8 +241,12 @@ def stability_report(
     (L + L~) ||g|| + (L~/delta) ||b - b~|| with both L1 norms over
     [0, T] x B(R_bar), R_bar = R + T max(||b||, ||b~||), and g the first
     field's witness (the theorem's reading).  ``||b - b~||`` is measured
-    once; when ``delta`` is omitted it is also delta, or
-    ``ZERO_DISTANCE_DELTA`` when the two fields coincide on the grid.
+    once per pair of fields and kept on ``field_a``, as is ``||g||``; when
+    ``delta`` is omitted it is also delta, or ``ZERO_DISTANCE_DELTA`` when
+    the two fields coincide on the grid.  The LHS takes one adaptive
+    psi_delta quadrature per grid point of B(region_radius), spread over the
+    CPUs of the affinity mask (``numerics.split_rows``) and summed in grid
+    order, so its value does not depend on the CPU count.
     """
     if not ens_a.same_mesh(ens_b):
         raise EstimateError("ensembles must share grid and mesh")
@@ -231,7 +261,7 @@ def stability_report(
         raise EstimateError("ensemble grid does not cover the report region")
     r_bar = region_radius + horizon * max(field_a.sup_bound, field_b.sup_bound)
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
-    b_dist = field_l1_distance(field_a, field_b, ens_a.times, norm_grid)
+    b_dist = _field_distance(field_a, field_b, ens_a.times, norm_grid)
     if delta is None:
         delta = b_dist if b_dist > 0.0 else ZERO_DISTANCE_DELTA
     if not delta > 0.0:
@@ -240,11 +270,15 @@ def stability_report(
     psi = PsiFunctional(modulus, float(delta))
     mask = grid.ball_mask(region_radius)
     sup = sup_distance(ens_a, ens_b)[mask]
-    lhs = float(
-        sum(psi.psi(float(v)) for v in sup) * grid.cell_volume
-    )
+    vals = np.empty(len(sup))
 
-    g_norm = _require_witness(field_a).l1_norm(ens_a.times, norm_grid)
+    def fill(lo, hi):
+        vals[lo:hi] = [psi.psi(float(v)) for v in sup[lo:hi]]
+
+    split_rows(fill, vals)
+    lhs = float(sum(vals.tolist()) * grid.cell_volume)
+
+    g_norm = _witness_norm(field_a, ens_a.times, norm_grid)
     l_a = compressibility_constant(field_a, norm_grid, horizon)
     l_b = compressibility_constant(field_b, norm_grid, horizon)
     rhs = (l_a + l_b) * g_norm + l_b / delta * b_dist
@@ -320,14 +354,14 @@ def cauchy_diagnostic(
     if not eta > 0.0:
         raise EstimateError("eta must be positive")
     modulus = _require_modulus(base_field)
-    witness = _require_witness(base_field)
+    _require_witness(base_field)
     horizon = first.horizon
     grid = first.grid
     r_bar = region_radius + horizon * base_field.sup_bound
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
     wide_grid = make_grid(grid.dimension, r_bar + 1.0, grid.spacing)
     base_l = compressibility_constant(base_field, wide_grid, horizon)
-    g_norm_wide = witness.l1_norm(first.times, wide_grid)
+    g_norm_wide = _witness_norm(base_field, first.times, wide_grid)
     constant = 2.0 * base_l * g_norm_wide + base_l
 
     mask = grid.ball_mask(region_radius)
@@ -338,7 +372,7 @@ def cauchy_diagnostic(
         for j in range(i + 1, len(moll_fields)):
             fn, fm = moll_fields[i], moll_fields[j]
             en, em = ensembles[i], ensembles[j]
-            delta_nm = field_l1_distance(fn, fm, first.times, norm_grid)
+            delta_nm = _field_distance(fn, fm, first.times, norm_grid)
             d_nm = float(
                 np.sum(sup_distance(en, em)[mask]) * grid.cell_volume
             )
@@ -553,7 +587,7 @@ def regularity_set(
 
     big_radius = 3.0 * region_radius + horizon * field.sup_bound
     norm_grid = make_grid(d, big_radius, grid.spacing)
-    g_norm = witness.l1_norm(ensemble.times, norm_grid)
+    g_norm = _witness_norm(field, ensemble.times, norm_grid)
     base_l = compressibility_constant(field, norm_grid, horizon)
     c_bar = 3.0 * (1.0 + c_d) * base_l * g_norm
     threshold = max(c_bar / epsilon, 1.0)
@@ -658,14 +692,14 @@ def compactness_a(
         raise EstimateError("need 0 < r < R/2")
     grid = ensemble.grid
     modulus = _require_modulus(field)
-    witness = _require_witness(field)
+    _require_witness(field)
     horizon = ensemble.horizon
     _, q_sup = _q_sweep(ensemble, modulus, [radius], region_radius)
     lhs = float(np.sum(q_sup) * grid.cell_volume)
 
     r_bar = 1.5 * region_radius + 2.0 * horizon * field.sup_bound
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
-    g_norm = witness.l1_norm(ensemble.times, norm_grid)
+    g_norm = _witness_norm(field, ensemble.times, norm_grid)
     base_l = compressibility_constant(field, norm_grid, horizon)
     region_measure = ball_measure(grid.dimension, region_radius)
     rhs = region_measure + 2.0 * base_l * g_norm
@@ -711,7 +745,7 @@ def translation_constants(
     norm_grid = make_grid(base_field.dimension, r_tilde, spacing)
     base_l = compressibility_constant(base_field, norm_grid, horizon)
     sup_g = max(
-        _require_witness(f).l1_norm(times, norm_grid) for f in moll_fields
+        _witness_norm(f, times, norm_grid) for f in moll_fields
     )
     c_drt = (
         ball_measure(base_field.dimension, region_radius)

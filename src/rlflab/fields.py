@@ -61,6 +61,7 @@ from .numerics import (
     grid_integral,
     integrate_1d,
     make_grid,
+    split_rows,
 )
 from .reporting import EstimateReport, make_report
 
@@ -154,12 +155,24 @@ _HEAP_BLOCK = 1 << 13
 
 
 def _chunked(fn, x, size=_CHUNK):
-    """fn over float64 ``x`` in pieces of ``size``; a scalar gives a float."""
+    """fn over float64 ``x`` in pieces of ``size``; a scalar gives a float.
+
+    An input of at least two ``_CHUNK``s is split across the CPUs of the
+    affinity mask at piece edges (``numerics.split_rows``), so every piece
+    is computed exactly as in one process.
+    """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
     out = np.empty_like(flat)
-    for i in range(0, len(flat), size):
-        out[i : i + size] = fn(flat[i : i + size])
+
+    def fill(lo, hi):
+        for i in range(lo, hi, size):
+            out[i : i + size] = fn(flat[i : i + size])
+
+    if len(flat) >= 2 * _CHUNK:
+        split_rows(fill, out, align=size)
+    else:
+        fill(0, len(flat))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -507,9 +520,9 @@ class VectorField:
     series: SeriesEvaluator | None = None
 
     def __post_init__(self):
-        # (grid, sup of [div b]^-) pairs measured by compressibility_constant;
-        # a value-idempotent cache
-        object.__setattr__(self, "_div_sups", [])
+        # (key, other field, grid, value) entries of measured_once; a
+        # value-idempotent cache
+        object.__setattr__(self, "_measured", [])
 
     def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
         ev = self.exact_evaluator or self.evaluator
@@ -533,6 +546,22 @@ class VectorField:
 
     def speed(self, t: float, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(self(t, pts) ** 2, axis=1))
+
+
+def measured_once(field: VectorField, key, grid: PointGrid, measure, other=None):
+    """``measure()``, taken once per key, other field and grid, and kept on
+    ``field``.
+
+    ``key`` (a string or a tuple of strings and numbers) matches by value,
+    ``other`` by identity and ``grid`` by ``PointGrid`` equality.  A field
+    made by ``replace`` starts with nothing kept.
+    """
+    for k, o, g, value in field._measured:
+        if k == key and o is other and g == grid:
+            return value
+    value = measure()
+    field._measured.append((key, other, grid, value))
+    return value
 
 
 def catalog_ids() -> tuple:
@@ -1020,11 +1049,12 @@ def compressibility_constant(
     The sup is measured once per field and grid and kept on the field.  An
     exponent past the float range gives inf, which the reports reject.
     """
-    sup = next((v for g, v in field._div_sups if g == grid), None)
-    if sup is None:
-        _, sups = divergence_negative_part(field, grid)
-        sup = sups[0]
-        field._div_sups.append((grid, sup))
+    sup = measured_once(
+        field,
+        "div_sup",
+        grid,
+        lambda: divergence_negative_part(field, grid)[1][0],
+    )
     with np.errstate(over="ignore"):
         return float(np.exp(horizon * sup))
 

@@ -6,11 +6,13 @@ directly comparable: sup distances, the ball-average functionals and the
 translation functionals all consume the stored ``(point, time, coordinate)``
 position array.
 
-Integration is data-parallel across initial points; a trajectory that ever
-produces a non-finite field value keeps NaN positions from that step on and
-is flagged, while the rest of the ensemble completes.  Each trajectory
-depends on its own initial point only, so the rows of an ensemble started on
-a ball ``B(r)`` inside the grid's ball equal a direct integration from
+Integration is data-parallel across initial points: contiguous blocks of
+them run on the CPUs of the affinity mask, one process each.  A trajectory
+that ever produces a non-finite field value keeps NaN positions from that
+step on and is flagged, while the rest of the ensemble completes.  Each
+trajectory depends on its own initial point only, so an ensemble does not
+depend on how its rows are cut, and the rows of an ensemble started on a
+ball ``B(r)`` inside the grid's ball equal a direct integration from
 ``make_grid(d, r, h)`` bit for bit: ``TrajectoryEnsemble.restrict`` serves
 them.  The experiment pipeline integrates each mollified level once, on the
 largest ball any chosen suite reads, and restricts it for the smaller ones.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import VectorField
-from .numerics import GridError, PointGrid, make_grid
+from .numerics import GridError, PointGrid, make_grid, split_rows
 
 __all__ = [
     "FlowError",
@@ -144,7 +146,14 @@ def integrate_ensemble(
     horizon: float,
     tau: float,
 ) -> TrajectoryEnsemble:
-    """Classical RK4 over every grid point, storing all mesh positions."""
+    """Classical RK4 over every grid point, storing all mesh positions.
+
+    The trajectories are cut into contiguous row blocks, one per CPU of the
+    affinity mask (``numerics.split_rows``), each integrated by the same
+    code straight into ``positions``; a trajectory depends on its own
+    initial point only, so the result does not depend on the CPU count
+    (``taskset -c 0`` runs it in one process).
+    """
     if field.dimension != grid.dimension:
         raise FlowError("field and grid dimensions differ")
     if tau <= 0.0 or horizon <= 0.0:
@@ -159,19 +168,23 @@ def integrate_ensemble(
     except MemoryError:
         gib = 8.0 * np.prod(shape) / 2**30
         raise FlowError(f"cannot allocate {shape} positions: {gib:.1f} GiB")
-    x = grid.points.copy()
-    positions[:, 0, :] = x
     ev = field.evaluator
     half = 0.5 * tau
     sixth = tau / 6.0
-    for step in range(n_steps):
-        t = times[step]
-        k1 = ev(t, x)
-        k2 = ev(t + half, x + half * k1)
-        k3 = ev(t + half, x + half * k2)
-        k4 = ev(t + tau, x + tau * k3)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[:, step + 1, :] = x
+
+    def fill(lo, hi):
+        x = grid.points[lo:hi].copy()
+        positions[lo:hi, 0, :] = x
+        for step in range(n_steps):
+            t = times[step]
+            k1 = ev(t, x)
+            k2 = ev(t + half, x + half * k1)
+            k3 = ev(t + half, x + half * k2)
+            k4 = ev(t + tau, x + tau * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            positions[lo:hi, step + 1, :] = x
+
+    split_rows(fill, positions)
     flags = ~np.isfinite(positions).all(axis=(1, 2))
     return TrajectoryEnsemble(
         grid,

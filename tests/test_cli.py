@@ -249,6 +249,47 @@ class TestRunExperiment:
         assert run_experiment(cfg, suite) == 0
         assert sorted(seen, key=lambda n: n or 0) == calls
 
+    def test_field_distance_measured_once_per_pair(self, tmp_path, monkeypatch):
+        import rlflab.estimates as estimates
+
+        calls = []
+        distance = estimates.field_l1_distance
+
+        def counted(fa, fb, times, grid):
+            calls.append((fa.mollification_level, fb.mollification_level))
+            return distance(fa, fb, times, grid)
+
+        # thm31 and the Cauchy table read the same 6 distances: 6 calls, not 12
+        monkeypatch.setattr(estimates, "field_l1_distance", counted)
+        cfg = parse_config(
+            write_config(tmp_path, FAST_CONSTANT.replace("4,8", "4,8,16,32"))
+        )
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, "all") == 0
+        assert sorted(calls) == [
+            (4, 8), (4, 16), (4, 32), (8, 16), (8, 32), (16, 32)
+        ]
+
+    def test_base_witness_norm_measured_once(self, tmp_path, monkeypatch):
+        from rlflab.fields import WitnessFunction
+
+        radii = []
+        norm = WitnessFunction.l1_norm
+
+        def counted(witness, times, grid):
+            if witness.provenance != "mollified":
+                radii.append(grid.radius)
+            return norm(witness, times, grid)
+
+        # prop43 reads the base witness norm at 3 radii r: 1 call, not 3
+        monkeypatch.setattr(WitnessFunction, "l1_norm", counted)
+        cfg = parse_config(
+            write_config(tmp_path, FAST_CONSTANT.replace("4,8", "4,8,16,32"))
+        )
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, "compactness") == 0
+        assert radii == [pytest.approx(1.5 * cfg.R + 2.0 * cfg.T * cfg.value)]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = parse_config(write_config(tmp_path, FAST_CONSTANT))
         cfg1.out = str(tmp_path / "a")
