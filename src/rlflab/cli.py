@@ -180,8 +180,10 @@ def parse_config(path) -> ExperimentConfig:
                 val = ()
         setattr(cfg, key, val)
 
-    def anchored(key, message):
-        return ConfigError(f"{path}:{line_of.get(key, 0)}: {message}")
+    def anchored(key, message, other=None):
+        """The error at the line of ``key``, else of ``other``, else 0."""
+        line = line_of.get(key, line_of.get(other, 0))
+        return ConfigError(f"{path}:{line}: {message}")
 
     if cfg.field not in catalog_ids():
         raise anchored(
@@ -196,10 +198,10 @@ def parse_config(path) -> ExperimentConfig:
         if getattr(cfg, key) <= 0.0 and key != "slack":
             raise anchored(key, f"{key} must be positive")
     if cfg.h >= cfg.R:
-        raise anchored("h", "grid spacing must be smaller than R")
+        raise anchored("h", "grid spacing must be smaller than R", "R")
     steps = cfg.T / cfg.tau
     if abs(steps - round(steps)) > 1e-9:
-        raise anchored("tau", f"T/tau = {steps} is not an integer")
+        raise anchored("tau", f"T/tau = {steps} is not an integer", "T")
     if len(cfg.levels) < 1 or any(
         b <= a for a, b in zip(cfg.levels, cfg.levels[1:])
     ):
@@ -208,6 +210,8 @@ def parse_config(path) -> ExperimentConfig:
         raise anchored("levels", "levels must be positive")
     if cfg.epsilon < 0.0:
         raise anchored("epsilon", "epsilon must be nonnegative")
+    if cfg.seed < 0:
+        raise anchored("seed", "seed must be nonnegative")
     return cfg
 
 

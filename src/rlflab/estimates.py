@@ -452,8 +452,7 @@ def regularity_Q(
     yt = ensemble.positions[mask, ti, :]
     dist = np.sqrt(np.sum((yt - xt[None, :]) ** 2, axis=1))
     psi = PsiFunctional(modulus, float(radius))
-    xi_max = 2.0 * ensemble.growth_radius() + 1.0
-    return float(psi.psi_values(dist, xi_max=xi_max).mean())
+    return float(psi.psi_values(dist).mean())
 
 
 def _q_sweep(
@@ -468,14 +467,13 @@ def _q_sweep(
     centers and mesh times at once; the center itself adds psi(0) = 0.
     """
     rows = np.flatnonzero(ensemble.grid.ball_mask(center_radius))
-    xi_max = 2.0 * ensemble.growth_radius() + 1.0
     q_sup = np.zeros(len(rows))
     for r in radii:
         psi = PsiFunctional(modulus, float(r))
         acc = np.zeros((len(rows), ensemble.n_times))
         count = 1
         for dist in _offset_distances(ensemble, rows, r):
-            vals = psi.psi_values(dist.ravel(), xi_max=xi_max)
+            vals = psi.psi_values(dist.ravel())
             acc += vals.reshape(dist.shape)
             count += 1
         q_sup = np.maximum(q_sup, (acc / count).max(axis=1))

@@ -23,24 +23,29 @@ small headroom factor (1.5%) so that the certificate also covers pairs that
 the finite calibration sample missed; the raw measured constants are returned
 unmodified and recorded in reports.
 
-Performance note: V_K is even and pi-periodic, so every input is folded
-onto the half period [0, pi/2] and evaluated through a hybrid scheme, exact
-low frequencies (k <= 16) plus a piecewise-linear table of the
-high-frequency tail at 1e-6 spacing (about 12.6 MB on disk).  The table
-error is ``step / (2 (k0 + 1))`` from slope breaks of the first tail term
-plus a curvature term below 1e-12, about 3e-8 total, except within a step
-of x = p pi / q for small q, where every tail term with q | k breaks slope
-at once: for K = 1000 it reaches 9.0e-7 next to pi/2 and 6.8e-7 next to
-pi/3, and about 3e-5 of uniformly drawn points exceed 5e-8.  No error
-budget carries that excess yet.  Mollified evaluators use kernel
+Every field has one evaluator, one divergence and one quadrature, and
+``mollify`` is the only place that knows how a field is convolved.
+
+Performance note: the base ``osgood-sum`` evaluates V_K exactly
+(``series_direct``); only its mollified levels, which the flows integrate,
+read the tail table.  V_K is even and pi-periodic, so a mollified level
+folds every shifted point onto the half period [0, pi/2] and takes the
+k > 16 tail from a piecewise-linear table at 1e-6 spacing (about 12.6 MB on
+disk).  The table error is ``step / (2 (k0 + 1))`` from slope breaks of the
+first tail term plus a curvature term below 1e-12, about 3e-8 total, except
+within a step of x = p pi / q for small q, where every tail term with q | k
+breaks slope at once: for K = 1000 it reaches 9.0e-7 next to pi/2 and
+6.8e-7 next to pi/3, and about 3e-5 of uniformly drawn points exceed 5e-8.
+No error budget carries that excess yet.  Mollified evaluators use kernel
 weights normalized to unit mass, so they are convex combinations of field
 values: constants mollify exactly, sup bounds are inherited exactly, and the
 witness-transfer inequality is preserved by construction.  The mollified
 ``osgood-sum`` is that convex combination up to rounding, not exactly: each
 component takes the kernel's axis marginal on its 49 axis nodes, and the
-nodes' symmetric pairs give the k <= 16 part (every k for the exact
-evaluator) in closed form, leaving 49 tail lerps per point and component.
-``combined`` and the other fields stay on the generic quadrature.
+nodes' symmetric pairs give the k <= 16 part (every k for the divergence)
+in closed form, leaving 49 tail lerps per point and component.
+``combined`` is mollified by linearity, as the sum of its mollified parts;
+the other fields, and every witness, take the generic blocked quadrature.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class CalibrationError(FieldError):
 
 
 # ==========================================================================
-# truncated oscillatory series V_K and its hybrid evaluator
+# truncated oscillatory series V_K and its tail table
 # ==========================================================================
 
 SERIES_DIRECT_TERMS = 16
@@ -288,11 +293,11 @@ def _tail_table(terms: int) -> np.ndarray:
 
 
 class SeriesEvaluator:
-    """Hybrid V_K evaluator: exact k <= 16 plus tabulated tail lerp.
+    """The series V_K split for mollification: exact k <= ``k0`` = 16 and
+    the tabulated tail sum_{k>16} on the half period [0, pi/2].
 
-    V_K is even and pi-periodic, so every input is folded onto the half
-    period [0, pi/2] first (the identity there) and one path serves all of
-    R; there is no far-field fallback.  Non-finite inputs yield NaN.
+    V_K is even and pi-periodic, so ``tail`` serves all of R once a point is
+    folded onto [0, pi/2].  The table is built or loaded here.
     """
 
     def __init__(self, terms: int):
@@ -301,18 +306,6 @@ class SeriesEvaluator:
         self.terms = int(terms)
         self.k0 = min(self.terms, SERIES_DIRECT_TERMS)
         self._tail = _tail_table(self.terms) if self.terms > self.k0 else None
-
-    def __call__(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        ax, bad = _finite_or_zero(np.abs(arr.ravel()))
-        ax = np.fmod(ax, math.pi)
-        ax = np.minimum(ax, math.pi - ax)
-        out = _series_chunk(ax, 1, self.k0)
-        if self._tail is not None:
-            out += self.tail(ax)
-        if bad.any():
-            out[bad] = np.nan
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def tail(self, ax: np.ndarray) -> np.ndarray:
         """Lerp of the tabulated tail sum_{k>16} at folded points ``ax``."""
@@ -335,8 +328,8 @@ def measure_osgood_constant(terms: int) -> float:
     with the log modulus rho.
 
     The true constant is existential in the underlying theory; this measured
-    stand-in uses exact partial sums (no table) so the measurement is
-    independent of the hybrid evaluator.  Cached per term count.
+    stand-in uses exact partial sums (no table), as the base field does.
+    Cached per term count.
     """
     rng = np.random.default_rng(OSGOOD_SEED)
     t = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
@@ -496,9 +489,10 @@ class VectorField:
     """Bounded vector field with witness and divergence data.
 
     ``evaluator(t, pts)`` maps an (n, d) array of points to (n, d)
-    velocities.  ``div_evaluator`` is the analytic divergence when the
-    catalog provides one; mollified fields leave it None and use central
-    finite differences instead.  Catalog fields do not depend on t, but every
+    velocities.  ``div_evaluator`` is the catalog's analytic divergence, or,
+    on a mollified field, the central difference at ``FD_DIV_STEP`` that
+    ``mollify`` sets.  ``series`` and ``parts`` only tell ``mollify`` how to
+    convolve the field.  Catalog fields do not depend on t, but every
     interface carries it.
     """
 
@@ -512,21 +506,17 @@ class VectorField:
     div_evaluator: object | None = None
     mollification_level: int | None = None
     singular_points: tuple = ()
-    # slow exact path for finite-difference diagnostics; table-backed
-    # evaluators override it so differencing never amplifies table error
-    exact_evaluator: object | None = None
     # set when component i is series(x_i), so that mollify can convolve
     # each component in closed form
     series: SeriesEvaluator | None = None
+    # fields whose evaluators and divergences sum to this field's, so that
+    # mollify convolves each of them by linearity
+    parts: tuple = ()
 
     def __post_init__(self):
         # (key, other field, grid, value) entries of measured_once; a
         # value-idempotent cache
         object.__setattr__(self, "_measured", [])
-
-    def exact(self, t: float, pts: np.ndarray) -> np.ndarray:
-        ev = self.exact_evaluator or self.evaluator
-        return np.asarray(ev(t, np.asarray(pts, np.float64)), np.float64)
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
@@ -541,7 +531,7 @@ class VectorField:
 
     def divergence(self, t: float, pts: np.ndarray) -> np.ndarray:
         if self.div_evaluator is None:
-            raise FieldError("field has no analytic divergence")
+            raise FieldError("field has no divergence")
         return np.asarray(self.div_evaluator(t, np.asarray(pts, np.float64)))
 
     def speed(self, t: float, pts: np.ndarray) -> np.ndarray:
@@ -676,10 +666,10 @@ def _make_osgood_sum(dimension, terms=1000):
     c2 = measure_osgood_constant(terms)
 
     def ev(t, pts):
-        return series(pts)
-
-    def ev_exact(t, pts):
-        return series_direct(pts, terms)
+        pts, bad = _finite_or_zero(pts)
+        out = series_direct(pts, terms)
+        out[bad] = np.nan
+        return out
 
     def div(t, pts):
         vals = series_deriv_direct(np.abs(pts), terms) * np.sign(pts)
@@ -694,7 +684,6 @@ def _make_osgood_sum(dimension, terms=1000):
         witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM, mod),
         modulus=mod,
         div_evaluator=div,
-        exact_evaluator=ev_exact,
         series=series,
     )
 
@@ -777,6 +766,18 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
     return calibrated
 
 
+def _summed(parts):
+    """The evaluator and the divergence of the sum of the fields ``parts``."""
+
+    def ev(t, pts):
+        return sum(p.evaluator(t, pts) for p in parts)
+
+    def div(t, pts):
+        return sum(p.div_evaluator(t, pts) for p in parts)
+
+    return ev, div
+
+
 def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     sob = _make_sobolev(dimension, alpha=alpha, cap=cap)
     osc = _make_osgood_sum(dimension, terms)
@@ -785,20 +786,12 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     if c2d <= 1.0:
         raise FieldError("combined witness needs C2 * d > 1")
     g1 = sob.witness
+    ev, div = _summed((sob, osc))
 
-    def ev(t, pts):
-        return sob.evaluator(t, pts) + osc.evaluator(t, pts)
-
-    def ev_exact(t, pts):
-        return sob.evaluator(t, pts) + osc.exact_evaluator(t, pts)
-
-    def div(t, pts):
-        return sob.div_evaluator(t, pts) + osc.div_evaluator(t, pts)
-
-    def wit_ev(t, pts):
+    def g(t, pts):
         return c2d * (1.0 + g1(t, pts))
 
-    witness = WitnessFunction(wit_ev, "calibrated", osc.modulus)
+    witness = WitnessFunction(g, "calibrated", osc.modulus)
     return VectorField(
         dimension,
         "combined",
@@ -815,7 +808,7 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
         modulus=osc.modulus,
         div_evaluator=div,
         singular_points=sob.singular_points,
-        exact_evaluator=ev_exact,
+        parts=(sob, osc),
     )
 
 
@@ -923,18 +916,27 @@ def _mollified_series(series: SeriesEvaluator, nodes, weights, exact: bool):
 
 
 def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
-    """Convolve the field (and its witness) with the scaled bump kernel.
+    """Convolve the field, its divergence and its witness with the scaled
+    bump kernel.
 
     The tensor-product midpoint quadrature weights are normalized to unit
     mass, so the mollified evaluator is a convex combination of field values;
-    the sup bound is inherited and constants are reproduced exactly.
+    the sup bound is inherited and constants are reproduced exactly.  The
+    quadrature runs over blocks of points, and each point's value is its own
+    reduction over the nodes, so it does not depend on the other points.
 
     ``osgood-sum``, whose components are one 1-D series each, convolves each
     component with the kernel's axis marginal in closed form over the
     symmetric node pairs (``_PairedSeries``): the same quadrature, equal to
     the convex combination up to rounding, at 49 nodes per component in
-    every dimension.  Every other field, ``combined`` included, takes the
+    every dimension.  A field with ``parts`` (``combined``) is convolved by
+    linearity: its evaluator and divergence are the sums of those of its
+    mollified parts.  Every other field, and every witness, takes the
     generic quadrature.
+
+    The divergence is the central difference at ``FD_DIV_STEP`` of the
+    convolved evaluator; for a series field, of the closed form over every
+    k <= K, so that differencing never amplifies the tail table's error.
     """
     if field.mollification_level is not None:
         raise FieldError("field is already mollified")
@@ -952,46 +954,48 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     # heap instead of faulting in fresh pages at every RK4 stage
     rows = max(64, _HEAP_BLOCK // (m * d))
 
-    def convolved(base_ev):
+    def convolved(base_ev, width):
+        """The node quadrature of ``base_ev``, ``width`` values per point."""
+
         def ev(t, pts):
-            out = np.empty((len(pts), d))
+            out = np.empty((len(pts), width))
             for i in range(0, len(pts), rows):
                 block = pts[i : i + rows]
                 shifted = (block[:, None, :] - nodes[None, :, :]).reshape(-1, d)
                 vals = np.asarray(base_ev(t, shifted), np.float64)
-                out[i : i + rows] = np.einsum("nmd,m->nd", vals.reshape(-1, m, d), w)
+                vals = vals.reshape(len(block), m, width)
+                out[i : i + rows] = np.einsum("nmd,m->nd", vals, w)
             return out
 
         return ev
 
-    if field.series is not None:
+    if field.parts:
+        evaluator, div = _summed([mollify(p, kernel) for p in field.parts])
+    elif field.series is not None:
         axis, marginal = kernel.axis_marginal(d)
         evaluator = _mollified_series(field.series, axis, marginal, False)
-        exact = _mollified_series(field.series, axis, marginal, True)
+        div = _central_divergence(
+            _mollified_series(field.series, axis, marginal, True), d
+        )
     else:
-        evaluator = convolved(field.evaluator)
-        exact = field.exact_evaluator
-        exact = convolved(exact) if exact is not None else None
+        evaluator = convolved(field.evaluator, d)
+        div = _central_divergence(evaluator, d)
     witness = None
     if field.witness is not None:
-        base_w = field.witness
-
-        def wit_ev(t, pts):
-            shifted = (pts[:, None, :] - nodes[None, :, :]).reshape(-1, d)
-            vals = np.asarray(base_w(t, shifted)).reshape(-1, m)
-            return vals @ w
-
-        witness = WitnessFunction(wit_ev, "mollified", base_w.modulus)
+        g = convolved(field.witness, 1)
+        witness = WitnessFunction(
+            lambda t, pts: g(t, pts)[:, 0], "mollified", field.witness.modulus
+        )
 
     return replace(
         field,
         evaluator=evaluator,
         witness=witness,
-        div_evaluator=None,
+        div_evaluator=div,
         mollification_level=kernel.level,
         singular_points=(),
         series=None,
-        exact_evaluator=exact,
+        parts=(),
         params={
             **field.params,
             "kernel_level": kernel.level,
@@ -1001,43 +1005,33 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     )
 
 
+def _central_divergence(ev, dimension: int):
+    """sum_i of the central difference of ``ev``'s component i along axis
+    i, at step ``FD_DIV_STEP``."""
+
+    def div(t, pts):
+        out = np.zeros(pts.shape[0])
+        for axis in range(dimension):
+            e = np.zeros(dimension)
+            e[axis] = FD_DIV_STEP
+            fwd = ev(t, pts + e)[:, axis]
+            bwd = ev(t, pts - e)[:, axis]
+            out += (fwd - bwd) / (2.0 * FD_DIV_STEP)
+        return out
+
+    return div
+
+
 # ==========================================================================
 # divergence data
 # ==========================================================================
 
 
-def divergence_negative_part(field: VectorField, grid: PointGrid, times=None):
-    """Per-time sup over the grid of max(0, -div b_t).
-
-    Uses the catalog's analytic divergence when available, central finite
-    differences for mollified fields, and rejects anything else.
-    """
-    if times is None:
-        times = [0.0]
-    times = np.asarray(times, dtype=np.float64)
-    sups = np.empty_like(times)
-    for i, t in enumerate(times):
-        if field.div_evaluator is not None:
-            div = field.divergence(t, grid.points)
-        elif field.mollification_level is not None:
-            div = _fd_divergence(field, t, grid.points, FD_DIV_STEP)
-        else:
-            raise FieldError(
-                "divergence needs an analytic formula or a mollified field"
-            )
-        sups[i] = max(0.0, float(np.max(-div)))
-    return times, sups
-
-
-def _fd_divergence(field, t, pts, step):
-    div = np.zeros(pts.shape[0])
-    for axis in range(field.dimension):
-        e = np.zeros(field.dimension)
-        e[axis] = step
-        fwd = field.exact(t, pts + e)[:, axis]
-        bwd = field.exact(t, pts - e)[:, axis]
-        div += (fwd - bwd) / (2.0 * step)
-    return div
+def divergence_negative_part(field: VectorField, grid: PointGrid) -> float:
+    """Sup over the grid of max(0, -div b) at t = 0, from ``field.divergence``
+    (a field without a divergence raises)."""
+    div = field.divergence(0.0, grid.points)
+    return max(0.0, float(np.max(-div)))
 
 
 def compressibility_constant(
@@ -1053,7 +1047,7 @@ def compressibility_constant(
         field,
         "div_sup",
         grid,
-        lambda: divergence_negative_part(field, grid)[1][0],
+        lambda: divergence_negative_part(field, grid),
     )
     with np.errstate(over="ignore"):
         return float(np.exp(horizon * sup))

@@ -268,13 +268,13 @@ class PsiFunctional:
         }
         object.__setattr__(self, "_table", table)
 
-    def psi_values(self, xs: np.ndarray, xi_max: float = 16.0) -> np.ndarray:
+    def psi_values(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized psi_delta over an array of nonnegative arguments.
 
-        The table covers ``[0, need]`` with ``need = max(xi_max, max(xs) +
-        step)``; it is built on the first call and rebuilt only when a later
-        call needs more than the current mesh covers.  Raises
-        :class:`ModulusError` for delta below ``BULK_DELTA_FLOOR``.
+        The table covers ``[0, need]`` with ``need = max(xs) + step``; it is
+        built on the first call and rebuilt, to at least twice its length,
+        only when a later call needs more than the current mesh covers.
+        Raises :class:`ModulusError` for delta below ``BULK_DELTA_FLOOR``.
         """
         if self.delta < BULK_DELTA_FLOOR:
             raise ModulusError(
@@ -282,8 +282,10 @@ class PsiFunctional:
             )
         xs = np.asarray(xs, dtype=np.float64)
         tab = self._table
-        need = max(xi_max, float(xs.max(initial=0.0)) + _COARSE_STEP)
+        need = float(xs.max(initial=0.0)) + _COARSE_STEP
         if tab is None or tab["mesh_max"] < need:
+            if tab is not None:
+                need = max(need, 2.0 * tab["mesh_max"])
             self._build_table(need)
             tab = self._table
         cum, half = tab["cum"], tab["half"]

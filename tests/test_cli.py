@@ -70,6 +70,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":2: modulus 'custom-table' not in"):
             parse_config(path)
 
+    def test_negative_seed_line_anchored(self, tmp_path, capsys):
+        path = write_config(tmp_path, "field = constant\nseed = -1\n")
+        with pytest.raises(ConfigError, match=r":2: seed must be nonnegative"):
+            parse_config(path)
+        out = tmp_path / "out"
+        code = main(["run", "--config", path, "--suite", "regularity",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the pair's other key is the one the file sets
+            ("# R only\nfield = constant\nR = 0.001\n", ":3: grid spacing"),
+            ("field = constant\nT = 0.0015\n", ":2: T/tau = 1.5"),
+            # both set: the key named first anchors
+            ("h = 0.5\nR = 0.2\n", ":1: grid spacing"),
+            ("tau = 0.3\nT = 1.0\n", ":1: T/tau"),
+        ],
+    )
+    def test_cross_key_errors_line_anchored(self, tmp_path, text, message):
+        path = write_config(tmp_path, text, name="q.cfg")
+        with pytest.raises(ConfigError, match=f"q.cfg{message}"):
+            parse_config(path)
+
 
 FAST_CONSTANT = (
     "field = constant\nvalue = 1.0\nlevels = 4,8\n"
@@ -237,9 +264,9 @@ class TestRunExperiment:
         seen = []
         measure = fields.divergence_negative_part
 
-        def counted(field, grid, times=None):
+        def counted(field, grid):
             seen.append(field.mollification_level)
-            return measure(field, grid, times)
+            return measure(field, grid)
 
         monkeypatch.setattr(fields, "divergence_negative_part", counted)
         cfg = parse_config(

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rlflab.fields import (
+    SERIES_DIRECT_TERMS,
     SERIES_TAIL_STEP,
+    WITNESS_HEADROOM,
     CalibrationError,
     FieldError,
     MollifierKernel,
@@ -32,6 +36,14 @@ from rlflab.numerics import ball_average, grid_integral, make_grid
 PI2_6 = math.pi**2 / 6.0
 
 
+def table_backed(series, x):
+    """Exact V_16 plus the tail lerp at the folded points: the series as the
+    mollified levels read it."""
+    ax = np.fmod(np.abs(x), math.pi)
+    ax = np.minimum(ax, math.pi - ax)
+    return series_direct(ax, SERIES_DIRECT_TERMS) + series.tail(ax)
+
+
 class TestSeries:
     def test_recurrence_matches_numpy(self):
         rng = np.random.default_rng(3)
@@ -56,15 +68,28 @@ class TestSeries:
         # far points read the half-period table through the fold
         for span in (5.9, 60.0):
             xs = np.random.default_rng(5).uniform(-span, span, 3000)
-            hybrid = osgood(0.0, xs[:, None])[:, 0]
+            hybrid = table_backed(osgood.series, xs)
             exact = series_direct(xs, 1000)
             assert np.max(np.abs(hybrid - exact)) <= 5e-8
 
     def test_far_outside_table_falls_back(self, osgood):
-        xs = np.array([[7.5], [-11.0]])
+        xs = np.array([7.5, -11.0])
         np.testing.assert_allclose(
-            osgood(0.0, xs)[:, 0], series_direct(xs[:, 0], 1000), atol=1e-12
+            table_backed(osgood.series, xs), series_direct(xs, 1000), atol=1e-12
         )
+
+    def test_base_field_is_exact_series(self, osgood):
+        x = np.random.default_rng(6).uniform(-60.0, 60.0, (500, 1))
+        assert np.array_equal(osgood(0.0, x), series_direct(x, 1000))
+
+    @pytest.mark.parametrize("K", [1, 16, 100, 1000])
+    def test_c2_covers_increments_from_zero(self, K):
+        # the pair (s, 0) needs (g(s) + g(0)) rho(s) = c2 H rho(s) in d = 1,
+        # with H the witness headroom; s on a geometric grid of [1e-6, 3]
+        s = np.geomspace(1e-6, 3.0, 100_001)
+        ratio = np.abs(series_direct(s, K) - series_direct(0.0, K))
+        ratio /= make_modulus("log")(s)
+        assert measure_osgood_constant(K) * WITNESS_HEADROOM >= ratio.max()
 
     def test_table_covers_half_period(self):
         assert len(_tail_table(100)) == round(math.pi / 2 / SERIES_TAIL_STEP) + 2
@@ -84,7 +109,8 @@ class TestSeries:
             _tail_table.cache_clear()
             series = SeriesEvaluator(200)
             xs = np.random.default_rng(9).uniform(-3.0, 3.0, 2000)
-            assert np.max(np.abs(series(xs) - series_direct(xs, 200))) <= 5e-8
+            hybrid = table_backed(series, xs)
+            assert np.max(np.abs(hybrid - series_direct(xs, 200))) <= 5e-8
             np.testing.assert_array_equal(np.load(path), _tail_table(200))
             # rewritten through a renamed temp file: no temp file is left
             tables = {path, _tail_cache_path(100)}
@@ -99,8 +125,11 @@ class TestSeries:
         assert abs(c_large / c_small - 1.0) < 0.25
 
     def test_nan_propagates(self, osgood):
-        out = osgood(0.0, np.array([[np.nan], [0.5]]))
-        assert np.isnan(out[0, 0]) and np.isfinite(out[1, 0])
+        x = np.array([[np.nan], [0.5], [np.inf], [-np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = osgood(0.0, x)
+        assert np.all(np.isnan(out[[0, 2, 3], 0])) and np.isfinite(out[1, 0])
 
 
 class TestCatalog:
@@ -306,6 +335,41 @@ class TestMollify:
         for i, j in ((0, 1), (166, 168), (334, 335), (100, 400)):
             assert np.array_equal(fn(0.0, x[i:j]), full[i:j])
 
+    def test_witness_rows_are_independent(self, sobolev):
+        # the witness runs the field's blocked quadrature: a point's value
+        # does not depend on how many points share the call
+        fn = mollify(sobolev, MollifierKernel(16))
+        x = make_grid(1, 1.1, 0.01).points
+        full = fn.witness(0.0, x)
+        rows = [fn.witness(0.0, x[i : i + 7]) for i in range(0, len(x), 7)]
+        assert np.array_equal(np.concatenate(rows), full)
+
+    def test_witness_memory_is_blocked(self, moll):
+        x = np.linspace(-1.0, 1.0, 200_001)[:, None]
+        tracemalloc.start()
+        try:
+            vals = moll[4].witness(0.0, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vals) == len(x)
+        # 1.6 MB of output; the 49 shifted copies of x alone take 78 MB
+        assert peak <= 16e6
+
+    def test_combined_mollifies_by_linearity(self, combined):
+        kernel = MollifierKernel(8)
+        fn = mollify(combined, kernel)
+        sob, osc = (mollify(p, kernel) for p in combined.parts)
+        x = np.linspace(-2.0, 2.0, 401)[:, None]
+        assert np.array_equal(fn(0.0, x), sob(0.0, x) + osc(0.0, x))
+        assert np.array_equal(
+            fn.divergence(0.0, x), sob.divergence(0.0, x) + osc.divergence(0.0, x)
+        )
+        # the field's own witness, convolved once, not the parts' witnesses
+        base = replace(combined.parts[1], witness=combined.witness)
+        want = mollify(base, kernel).witness
+        assert np.array_equal(fn.witness(0.0, x), want(0.0, x))
+
     def test_double_mollify_rejected(self, moll):
         with pytest.raises(FieldError):
             mollify(moll[4], MollifierKernel(8))
@@ -314,13 +378,13 @@ class TestMollify:
 class TestDivergence:
     def test_contracting_linear(self, linear_contracting):
         grid = make_grid(1, 1.0, 0.1)
-        _, sups = divergence_negative_part(linear_contracting, grid)
-        assert sups[0] == pytest.approx(1.0, abs=1e-12)
+        sup = divergence_negative_part(linear_contracting, grid)
+        assert sup == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_zero(self, constant_unit):
         grid = make_grid(1, 1.0, 0.1)
-        _, sups = divergence_negative_part(constant_unit, grid)
-        assert sups[0] == 0.0
+        sup = divergence_negative_part(constant_unit, grid)
+        assert sup == 0.0
 
     def test_mollified_fd_vs_termwise_oracle(self, osgood, moll):
         # termwise-differentiated series pushed through the same kernel
@@ -333,15 +397,11 @@ class TestDivergence:
         oracle = (
             series_deriv_direct(np.abs(shifted), 1000) * np.sign(shifted)
         ).reshape(10, len(wn)) @ wn
-        from rlflab.fields import FD_DIV_STEP, _fd_divergence
-
-        fd = _fd_divergence(moll[16], 0.0, xs, FD_DIV_STEP)
+        fd = moll[16].divergence(0.0, xs)
         assert np.max(np.abs(fd - oracle)) <= 1e-3
 
     def test_unsupported_field(self):
         f = catalog_field("constant", 1)
-        from dataclasses import replace
-
         bare = replace(f, div_evaluator=None)
         with pytest.raises(FieldError):
             divergence_negative_part(bare, make_grid(1, 1.0, 0.1))

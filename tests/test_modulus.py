@@ -163,7 +163,7 @@ class TestPsi:
             for delta in (0.09375, 0.5, 3.0):
                 fam = PsiFunctional(mod, delta)
                 xs = np.array([0.0, 1e-4, 0.01, 0.2, 0.9, 4.0, 9.5])
-                bulk = fam.psi_values(xs, xi_max=10.0)
+                bulk = fam.psi_values(xs)
                 ref = np.array([fam.psi(float(x)) for x in xs])
                 np.testing.assert_allclose(bulk, ref, atol=2e-5, rtol=2e-6)
 
@@ -176,11 +176,11 @@ class TestPsi:
         for mod in (LIN, LOG, LOGLOG):
             fam = PsiFunctional(mod, 0.5 * BULK_DELTA_FLOOR)
             with pytest.raises(ModulusError, match="delta >= 0.001"):
-                fam.psi_values(xs, xi_max=1.0)
+                fam.psi_values(xs)
             assert fam.psi(0.5) > 0.0  # the adaptive path has no floor
             at_floor = PsiFunctional(mod, BULK_DELTA_FLOOR)
             np.testing.assert_allclose(
-                at_floor.psi_values(xs, xi_max=1.0),
+                at_floor.psi_values(xs),
                 [at_floor.psi(float(x)) for x in xs],
                 atol=2e-5,
                 rtol=2e-6,
@@ -188,48 +188,58 @@ class TestPsi:
 
 
 class TestPsiBulkTable:
-    # xi_max values whose coarse mesh, ended by arange at xi_max + step,
-    # fell a rounding error short of xi_max and was rebuilt on every call
-    XI_MAXES = (16.0, 3.3, 5.0)
-    XS = np.linspace(0.0, 3.0, 257)
+    # largest arguments whose coarse mesh, ended by arange at max + step,
+    # fell a rounding error short of it and was rebuilt on every call
+    MAXIMA = (16.0, 3.3, 5.0)
+
+    @staticmethod
+    def xs(top):
+        return np.linspace(0.0, top, 257)
 
     def test_table_built_once(self):
         for mod in (LIN, LOG):
-            for xi_max in self.XI_MAXES:
+            for top in self.MAXIMA:
                 fam = PsiFunctional(mod, 0.1)
-                first = fam.psi_values(self.XS, xi_max=xi_max)
+                first = fam.psi_values(self.xs(top))
                 table = fam._table
-                assert table["mesh_max"] >= xi_max
+                assert table["mesh_max"] >= top
                 for _ in range(3):
-                    again = fam.psi_values(self.XS, xi_max=xi_max)
+                    again = fam.psi_values(self.xs(top))
                     assert fam._table is table
                     assert np.array_equal(again, first)
 
     def test_reused_table_matches_fresh_functional(self):
-        # one functional serves every xi_max from the table built for the
+        # one functional serves every query from the table built for the
         # largest; each answer equals that of a functional built for it
         fam = PsiFunctional(LOG, 0.1)
-        fam.psi_values(self.XS, xi_max=max(self.XI_MAXES))
+        fam.psi_values(self.xs(max(self.MAXIMA)))
         table = fam._table
-        for xi_max in self.XI_MAXES * 2:
-            got = fam.psi_values(self.XS, xi_max=xi_max)
+        for top in self.MAXIMA * 2:
+            got = fam.psi_values(self.xs(top))
             assert fam._table is table
-            fresh = PsiFunctional(LOG, 0.1).psi_values(self.XS, xi_max=xi_max)
+            fresh = PsiFunctional(LOG, 0.1).psi_values(self.xs(top))
             assert np.array_equal(got, fresh)
 
     def test_query_past_table_grows_it(self):
         for mod in (LIN, LOG):
             fam = PsiFunctional(mod, 0.5)
-            before = fam.psi_values(self.XS, xi_max=3.3)
+            before = fam.psi_values(self.xs(3.3))
             table = fam._table
             xs = np.array([0.0, 0.01, 0.9, 4.0, 9.5])
-            bulk = fam.psi_values(xs, xi_max=3.3)
+            bulk = fam.psi_values(xs)
             assert fam._table is not table
             assert fam._table["mesh_max"] >= 9.5
             ref = np.array([fam.psi(float(x)) for x in xs])
             np.testing.assert_allclose(bulk, ref, atol=2e-5, rtol=2e-6)
-            again = fam.psi_values(self.XS, xi_max=3.3)
+            again = fam.psi_values(self.xs(3.3))
             assert np.array_equal(again, before)
+
+    def test_growth_at_least_doubles(self):
+        fam = PsiFunctional(LOG, 0.1)
+        fam.psi_values(self.xs(3.3))
+        short = fam._table["mesh_max"]
+        fam.psi_values(self.xs(3.4))
+        assert fam._table["mesh_max"] >= 2.0 * short
 
 
 def two_branch_psi_values(fam, vals, xs):

@@ -1,10 +1,12 @@
 """The closed-form mollification of ``osgood-sum`` against the generic one.
 
 ``mollify`` convolves each ``osgood-sum`` component with the kernel's axis
-marginal in closed form over symmetric node pairs.  The oracle is the same
-field with its series profile removed, which ``mollify`` then convolves by
-the generic 49-node (tensor in d >= 2) quadrature of the hybrid evaluator
-and of ``series_direct``.
+marginal in closed form over symmetric node pairs: with the tail table for
+the evaluator the flows integrate, and over every k <= K for the divergence.
+The oracle is the same field with its series profile removed, which
+``mollify`` then convolves by the generic 49-node (tensor in d >= 2)
+quadrature, of ``series_direct`` (the base evaluator) and of a test-local
+table-backed evaluator: exact k <= 16 plus the tail lerp at folded points.
 
 The generic quadrature evaluates V_K at the rounded shifted point x - a_j,
 which is off by up to half an ulp of |x| + 1; |V_K'| <= H_K = sum 1/k, so
@@ -22,18 +24,51 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlflab.fields import MollifierKernel, catalog_field, mollify
+from rlflab.fields import (
+    MollifierKernel,
+    _mollified_series,
+    catalog_field,
+    mollify,
+    series_direct,
+)
 
 LEVELS = (1, 3, 4, 32, 64)
 TERMS = (1, 2, 16, 17, 100)
 
 
+def table_backed(series):
+    """V_K as the closed form reads it: exact k <= 16, tail lerp beyond."""
+
+    def ev(t, pts):
+        ax = np.fmod(np.abs(pts), math.pi)
+        ax = np.minimum(ax, math.pi - ax)
+        out = series_direct(ax, series.k0)
+        if series.terms > series.k0:
+            out += series.tail(ax)
+        return out
+
+    return ev
+
+
 @functools.cache
 def pair(level, terms, dimension=1):
-    """(closed form, generic) mollified osgood-sum at one level."""
+    """The closed forms, with the table (the field's evaluator) and over
+    every k, and the generic quadratures of the table-backed evaluator and of
+    ``series_direct``, of osgood-sum at one level: (closed, exact, generic,
+    generic_exact)."""
     field = catalog_field("osgood-sum", dimension, terms=terms)
     kernel = MollifierKernel(level)
-    return mollify(field, kernel), mollify(replace(field, series=None), kernel)
+    exact = _mollified_series(
+        field.series, *kernel.axis_marginal(dimension), True
+    )
+    bare = replace(field, series=None)
+    hybrid = replace(bare, evaluator=table_backed(field.series))
+    return (
+        mollify(field, kernel),
+        exact,
+        mollify(hybrid, kernel),
+        mollify(bare, kernel),
+    )
 
 
 def allowance(x, ref, terms):
@@ -67,9 +102,9 @@ def cases(draw):
 @given(cases())
 def test_matches_generic_quadrature(case):
     level, terms, x = case
-    closed, generic = pair(level, terms)
+    closed, exact, generic, generic_exact = pair(level, terms)
     for got, ref in (
-        (closed.exact(0.0, x), generic.exact(0.0, x)),
+        (exact(0.0, x), generic_exact(0.0, x)),
         (closed(0.0, x), generic(0.0, x)),
     ):
         assert np.all(np.abs(got - ref) <= allowance(x, ref, terms))
@@ -80,10 +115,10 @@ def test_matches_generic_quadrature(case):
 def test_marginal_matches_tensor_quadrature_2d(level, terms):
     # 49 axis nodes with marginal weights per component, against the
     # 1,885 tensor nodes of the disc
-    closed, generic = pair(level, terms, 2)
+    closed, exact, generic, generic_exact = pair(level, terms, 2)
     x = np.random.default_rng(level).uniform(-3.0, 3.0, (200, 2))
     for got, ref in (
-        (closed.exact(0.0, x), generic.exact(0.0, x)),
+        (exact(0.0, x), generic_exact(0.0, x)),
         (closed(0.0, x), generic(0.0, x)),
     ):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
@@ -92,7 +127,7 @@ def test_marginal_matches_tensor_quadrature_2d(level, terms):
 def test_closer_to_truth_than_generic():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    closed, generic = pair(64, 100)
+    _, exact, _, generic_exact = pair(64, 100)
     nodes, weights = MollifierKernel(64).axis_marginal(1)
 
     def truth(x):
@@ -104,8 +139,8 @@ def test_closer_to_truth_than_generic():
         return total
 
     x = np.array([[56.54808957611051], [7.128614737419436e-4], [0.5]])
-    got = closed.exact(0.0, x)[:, 0]
-    ref = generic.exact(0.0, x)[:, 0]
+    got = exact(0.0, x)[:, 0]
+    ref = generic_exact(0.0, x)[:, 0]
     exact = [truth(v) for v in x[:, 0]]
     rel = [abs(float((g - t) / t)) for g, t in zip(got, exact)]
     assert max(rel) <= 5e-15
@@ -115,12 +150,12 @@ def test_closer_to_truth_than_generic():
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_non_finite_gives_nan_without_warning(dimension):
-    closed, _ = pair(4, 100, dimension)
+    closed, exact, _, _ = pair(4, 100, dimension)
     x = np.full((5, dimension), 0.3)
     x[1, 0], x[2, 0], x[3, 0] = np.nan, np.inf, -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for ev in (closed, closed.exact):
+        for ev in (closed, exact):
             out = ev(0.0, x)
             assert np.all(np.isnan(out[1:4, 0]))
             assert np.array_equal(out[0], out[4])
@@ -136,9 +171,9 @@ def test_non_finite_gives_nan_without_warning(dimension):
     st.data(),
 )
 def test_rows_are_independent(level, xs, data):
-    closed, _ = pair(level, 100)
+    closed, exact, _, _ = pair(level, 100)
     x = np.array(xs)[:, None]
     i = data.draw(st.integers(0, len(xs) - 1))
     j = data.draw(st.integers(i + 1, len(xs)))
-    for ev in (closed, closed.exact):
+    for ev in (closed, exact):
         assert np.array_equal(ev(0.0, x[i:j]), ev(0.0, x)[i:j])

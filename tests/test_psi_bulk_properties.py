@@ -21,7 +21,6 @@ from rlflab.modulus import PsiFunctional, make_modulus
 KINDS = st.sampled_from(["linear", "log", "loglog"])
 DELTAS = st.floats(np.log10(2e-3), 1.0).map(lambda e: 10.0**e)
 XI = st.floats(0.0, 10.0, allow_nan=False)
-XI_MAX = 10.0
 # a rounding budget for second differences: 64 ulp of the largest value
 CONCAVITY_ULPS = 64 * np.finfo(np.float64).eps
 
@@ -30,7 +29,7 @@ FAST = settings(max_examples=30, deadline=None)
 
 def bulk(kind, delta, xs):
     fam = PsiFunctional(make_modulus(kind), delta)
-    return fam, fam.psi_values(np.asarray(xs, dtype=np.float64), XI_MAX)
+    return fam, fam.psi_values(np.asarray(xs, dtype=np.float64))
 
 
 @FAST
