@@ -26,13 +26,13 @@ from .modulus import (
     make_modulus,
 )
 from .fields import (
+    CATALOG,
     MaximalFunctionGrid,
     MollifierKernel,
     VectorField,
     WitnessFunction,
     calibrate_witness_constant,
     catalog_field,
-    catalog_ids,
     compressibility_constant,
     divergence_negative_part,
     maximal_function,

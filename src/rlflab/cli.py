@@ -1,21 +1,24 @@
 """Experiment orchestration: config files, suites, reports, plots.
 
 Config files are a flat ``key = value`` text format ('#' starts a comment);
-the documented keys and defaults are in ``CONFIG_SCHEMA`` and printed by
-``rlf-lab run --help``.  Exit codes: 0 all verdicts pass, 1 at least one
-estimate failed, 2 usage or config error, or an estimate, flow, modulus or
-numerics error that stopped the run.  Outputs under the chosen directory are
-byte-deterministic for identical configs: per-estimate JSON reports, a
-summary CSV, and fixed-canvas SVG plots with no timestamps.
+the keys, their types and their defaults are the fields of
+``ExperimentConfig``, and ``rlf-lab run --help`` prints the defaults.  Exit
+codes: 0 all verdicts pass, 1 at least one estimate failed, 2 usage or config
+error, or an estimate, flow, modulus or numerics error that stopped the run.
+Outputs under the chosen directory are byte-deterministic for identical
+configs: per-estimate JSON reports, a summary CSV, and fixed-canvas SVG plots
+with no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,10 +32,10 @@ from .estimates import (
     translation_functional,
 )
 from .fields import (
+    CATALOG,
     FieldError,
     MollifierKernel,
     catalog_field,
-    catalog_ids,
     mollify,
     weak_type_check,
 )
@@ -63,30 +66,6 @@ SUITE_REACH = {
     "weak-type": (0.0, 0.0),
 }
 
-# key: (parser, default, help)
-CONFIG_SCHEMA = {
-    "field": (str, "osgood-sum", "catalog id"),
-    "modulus": (str, "", "modulus kind override (default: the field's own)"),
-    "d": (int, 1, "space dimension"),
-    "terms": (int, 1000, "series truncation for osgood-sum/combined"),
-    "alpha": (float, 0.3, "singular exponent for sobolev-singular/combined"),
-    "cap": (float, 0.0, "value cap (0 = per-field default)"),
-    "value": (float, 1.0, "constant-field velocity"),
-    "slope": (float, -1.0, "linear-field coefficient"),
-    "R": (float, 1.0, "report-region radius"),
-    "T": (float, 1.0, "time horizon"),
-    "h": (float, 0.01, "grid spacing"),
-    "tau": (float, 1e-3, "integrator step"),
-    "levels": (str, "4,8,16,32", "mollification levels, ascending"),
-    "eta": (float, 0.05, "Cauchy-diagnostic threshold"),
-    "epsilon": (float, 0.0, "regularity budget (0 = 0.1 measure of B(R))"),
-    "radii_depth": (int, 6, "dyadic radii depth J"),
-    "deltas": (str, "", "optional fixed deltas for stability reports"),
-    "slack": (float, 0.05, "multiplicative verdict slack"),
-    "seed": (int, 20260809, "pair-sampling seed"),
-    "out": (str, "rlf-lab-out", "output directory"),
-}
-
 
 class ConfigError(Exception):
     """Schema violation; carries a line-anchored message."""
@@ -94,6 +73,11 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """The config schema: a config file sets any of these keys, parsed by
+    the field's type (a tuple is written comma-separated).  ``modulus = ''``
+    keeps the field's own modulus, ``cap = 0`` the field's default cap, and
+    ``epsilon = 0`` reads 0.1 times the measure of B(R)."""
+
     field: str = "osgood-sum"
     modulus: str = ""
     d: int = 1
@@ -106,11 +90,11 @@ class ExperimentConfig:
     T: float = 1.0
     h: float = 0.01
     tau: float = 1e-3
-    levels: tuple = (4, 8, 16, 32)
+    levels: tuple[int, ...] = (4, 8, 16, 32)
     eta: float = 0.05
     epsilon: float = 0.0
     radii_depth: int = 6
-    deltas: tuple = ()
+    deltas: tuple[float, ...] = ()
     slack: float = 0.05
     seed: int = 20260809
     out: str = "rlf-lab-out"
@@ -121,6 +105,14 @@ class ExperimentConfig:
         return 0.1 * ball_measure(self.d, self.R)
 
 
+def _parse_value(kind, text: str):
+    """``text`` as a value of the type ``kind``; raises ValueError."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(v) for v in text.split(",")) if text else ()
+    return kind(text)
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate the flat key = value schema."""
     try:
@@ -128,6 +120,7 @@ def parse_config(path) -> ExperimentConfig:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+    schema = get_type_hints(ExperimentConfig)
     values: dict = {}
     line_of: dict = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -138,64 +131,40 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in CONFIG_SCHEMA:
-            known = ", ".join(sorted(CONFIG_SCHEMA))
+        if key not in schema:
+            known = ", ".join(sorted(schema))
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} (known: {known})"
             )
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        parser = CONFIG_SCHEMA[key][0]
         try:
-            values[key] = parser(val)
+            values[key] = _parse_value(schema[key], val)
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse {key} value {val!r}"
             ) from None
-        if parser is float and not math.isfinite(values[key]):
+        items = values[key] if isinstance(values[key], tuple) else (values[key],)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
         line_of[key] = lineno
-
-    cfg = ExperimentConfig()
-    for key, val in values.items():
-        if key == "levels":
-            try:
-                levels = tuple(int(v) for v in val.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{line_of[key]}: levels must be integers"
-                ) from None
-            val = levels
-        elif key == "deltas":
-            if val:
-                try:
-                    val = tuple(float(v) for v in val.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{line_of[key]}: deltas must be numbers"
-                    ) from None
-                if not all(map(math.isfinite, val)):
-                    raise ConfigError(f"{path}:{line_of[key]}: deltas must be finite")
-            else:
-                val = ()
-        setattr(cfg, key, val)
+    cfg = ExperimentConfig(**values)
 
     def anchored(key, message, other=None):
         """The error at the line of ``key``, else of ``other``, else 0."""
         line = line_of.get(key, line_of.get(other, 0))
         return ConfigError(f"{path}:{line}: {message}")
 
-    if cfg.field not in catalog_ids():
+    if cfg.field not in CATALOG:
         raise anchored(
             "field",
-            f"unknown field id {cfg.field!r}; catalog: "
-            + ", ".join(catalog_ids()),
+            f"unknown field id {cfg.field!r}; catalog: " + ", ".join(CATALOG),
         )
     kinds = MODULUS_KINDS[:-1]  # custom-table needs points a config lacks
     if cfg.modulus and cfg.modulus not in kinds:
         raise anchored("modulus", f"modulus {cfg.modulus!r} not in {kinds}")
-    for key in ("R", "T", "h", "tau", "eta", "slack"):
-        if getattr(cfg, key) <= 0.0 and key != "slack":
+    for key in ("R", "T", "h", "tau", "eta"):
+        if getattr(cfg, key) <= 0.0:
             raise anchored(key, f"{key} must be positive")
     if cfg.h >= cfg.R:
         raise anchored("h", "grid spacing must be smaller than R", "R")
@@ -208,10 +177,9 @@ def parse_config(path) -> ExperimentConfig:
         raise anchored("levels", "levels must be ascending positive integers")
     if any(n < 1 for n in cfg.levels):
         raise anchored("levels", "levels must be positive")
-    if cfg.epsilon < 0.0:
-        raise anchored("epsilon", "epsilon must be nonnegative")
-    if cfg.seed < 0:
-        raise anchored("seed", "seed must be nonnegative")
+    for key in ("slack", "cap", "epsilon", "seed"):
+        if getattr(cfg, key) < 0:
+            raise anchored(key, f"{key} must be nonnegative")
     return cfg
 
 
@@ -237,7 +205,6 @@ class _Pipeline:
         self.cfg = cfg
         self._base = None
         self._moll: dict = {}
-        self._ens: dict = {}
         self._wide: dict = {}
         self._reach = {
             n: max(_reach(cfg, name, n) for name in suites) for n in cfg.levels
@@ -246,17 +213,10 @@ class _Pipeline:
     def base_field(self):
         if self._base is None:
             cfg = self.cfg
-            kwargs = {}
-            if cfg.field in ("osgood-sum", "combined"):
-                kwargs["terms"] = cfg.terms
-            if cfg.field in ("sobolev-singular", "combined"):
-                kwargs["alpha"] = cfg.alpha
-                if cfg.cap > 0.0:
-                    kwargs["cap"] = cfg.cap
-            if cfg.field == "constant":
-                kwargs["value"] = cfg.value
-            if cfg.field == "linear":
-                kwargs["slope"] = cfg.slope
+            params = inspect.signature(CATALOG[cfg.field]).parameters
+            kwargs = {k: getattr(cfg, k) for k in params if k != "dimension"}
+            if kwargs.get("cap") == 0.0:  # the field's default cap
+                del kwargs["cap"]
             base = catalog_field(cfg.field, cfg.d, **kwargs)
             if cfg.modulus and (
                 base.modulus is None or cfg.modulus != base.modulus.kind
@@ -272,12 +232,9 @@ class _Pipeline:
 
     def ensemble(self, level: int, radius: float):
         """Trajectories of level ``level`` started on B(radius)."""
-        key = (level, round(radius, 12))
-        if key not in self._ens:
-            if level not in self._wide:
-                self._wide[level] = self._integrate(level, self._reach[level])
-            self._ens[key] = self._wide[level].restrict(radius)
-        return self._ens[key]
+        if level not in self._wide:
+            self._wide[level] = self._integrate(level, self._reach[level])
+        return self._wide[level].restrict(radius)
 
     def _integrate(self, level: int, radius: float):
         cfg = self.cfg
@@ -546,13 +503,20 @@ def emit_plots(reports, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
+    def write(name, *plot):
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(_svg_line_plot(*plot))
+        written.append(path)
+
     stab = [r for r in reports if r.estimate_id == "thm31"]
     if stab:
         stab = sorted(
             stab, key=lambda r: (r.metadata.get("n") or 0, r.metadata.get("m") or 0)
         )
         xs = list(range(1, len(stab) + 1))
-        doc = _svg_line_plot(
+        write(
+            "stability_lhs_rhs.svg",
             [
                 ("lhs", xs, [r.lhs for r in stab]),
                 ("rhs", xs, [r.rhs for r in stab]),
@@ -561,10 +525,6 @@ def emit_plots(reports, out_dir) -> list:
             "pair index",
             "value",
         )
-        path = os.path.join(out_dir, "stability_lhs_rhs.svg")
-        with open(path, "w") as fh:
-            fh.write(doc)
-        written.append(path)
 
     cauchy = [r for r in reports if r.estimate_id == "cauchy"]
     doubling = [
@@ -574,7 +534,8 @@ def emit_plots(reports, out_dir) -> list:
     ]
     if doubling:
         doubling = sorted(doubling, key=lambda r: r.metadata["n"])
-        doc = _svg_line_plot(
+        write(
+            "cauchy_decay.svg",
             [
                 (
                     "D(n,2n)",
@@ -586,10 +547,6 @@ def emit_plots(reports, out_dir) -> list:
             "level n",
             "D",
         )
-        path = os.path.join(out_dir, "cauchy_decay.svg")
-        with open(path, "w") as fh:
-            fh.write(doc)
-        written.append(path)
 
     trans = [r for r in reports if r.estimate_id == "thm44"]
     if trans:
@@ -607,13 +564,7 @@ def emit_plots(reports, out_dir) -> list:
                 )
             )
         if series:
-            doc = _svg_line_plot(
-                series, "translation bound g(r)", "r", "g(r)"
-            )
-            path = os.path.join(out_dir, "translation_g.svg")
-            with open(path, "w") as fh:
-                fh.write(doc)
-            written.append(path)
+            write("translation_g.svg", series, "translation bound g(r)", "r", "g(r)")
     return written
 
 
@@ -635,7 +586,8 @@ def _build_parser():
         help="run a verification suite from a config file",
         epilog="config keys and defaults: "
         + "; ".join(
-            f"{k} = {d!r}" for k, (_, d, _h) in CONFIG_SCHEMA.items()
+            f"{k} = {(','.join(map(str, d)) if isinstance(d, tuple) else d)!r}"
+            for k, d in vars(ExperimentConfig()).items()
         ),
     )
     run.add_argument("--config", required=True, help="path to key=value config")
@@ -662,7 +614,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "catalog":
         print("fields:")
-        for cid in catalog_ids():
+        for cid in CATALOG:
             print(f"  {cid}")
         print("moduli:")
         for kind in MODULUS_KINDS:
@@ -685,10 +637,7 @@ def main(argv=None) -> int:
                 raise ConfigError("slack override must be finite and nonnegative")
             cfg.slack = args.slack / 100.0
         return run_experiment(cfg, args.suite)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FieldError as exc:
+    except (ConfigError, FieldError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (EstimateError, FlowError, ModulusError, NumericsError) as exc:

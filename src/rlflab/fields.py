@@ -77,8 +77,8 @@ __all__ = [
     "MollifierKernel",
     "VectorField",
     "MaximalFunctionGrid",
+    "CATALOG",
     "catalog_field",
-    "catalog_ids",
     "mollify",
     "maximal_function",
     "weak_type_check",
@@ -91,14 +91,6 @@ __all__ = [
     "export_maximal_csv",
     "export_witness_csv",
 ]
-
-CATALOG_IDS = (
-    "constant",
-    "linear",
-    "osgood-sum",
-    "sobolev-singular",
-    "combined",
-)
 
 PI2_OVER_6 = math.pi**2 / 6.0
 
@@ -357,7 +349,6 @@ class WitnessFunction:
 
     evaluator: object  # (t, pts (n, d)) -> (n,)
     provenance: str
-    modulus: ModulusOfContinuity | None = None
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(t, np.asarray(pts, dtype=np.float64)))
@@ -371,7 +362,7 @@ class WitnessFunction:
         return float((times[-1] - times[0]) * space)
 
 
-def constant_witness(value: float, modulus=None) -> WitnessFunction:
+def constant_witness(value: float) -> WitnessFunction:
     value = float(value)
     if value < 0.0:
         raise FieldError("witness must be nonnegative")
@@ -379,7 +370,7 @@ def constant_witness(value: float, modulus=None) -> WitnessFunction:
     def ev(t, pts):
         return np.full(pts.shape[0], value)
 
-    return WitnessFunction(ev, "analytic-constant", modulus)
+    return WitnessFunction(ev, "analytic-constant")
 
 
 # ==========================================================================
@@ -554,34 +545,21 @@ def measured_once(field: VectorField, key, grid: PointGrid, measure, other=None)
     return value
 
 
-def catalog_ids() -> tuple:
-    return CATALOG_IDS
-
-
 def catalog_field(catalog_id: str, dimension: int = 1, **params) -> VectorField:
     """Construct a catalog field; unknown ids raise with the catalog list."""
-    if catalog_id == "constant":
-        return _make_constant(dimension, **params)
-    if catalog_id == "linear":
-        return _make_linear(dimension, **params)
-    if catalog_id == "osgood-sum":
-        return _make_osgood_sum(dimension, **params)
-    if catalog_id == "sobolev-singular":
-        return _make_sobolev(dimension, **params)
-    if catalog_id == "combined":
-        return _make_combined(dimension, **params)
-    raise FieldError(
-        f"unknown field id {catalog_id!r}; catalog: {', '.join(CATALOG_IDS)}"
-    )
+    if catalog_id not in CATALOG:
+        raise FieldError(
+            f"unknown field id {catalog_id!r}; catalog: {', '.join(CATALOG)}"
+        )
+    return CATALOG[catalog_id](dimension, **params)
 
 
-def _make_constant(dimension, value=1.0, modulus="linear"):
+def _make_constant(dimension, value=1.0):
     v = np.atleast_1d(np.asarray(value, dtype=np.float64))
     if v.shape == (1,) and dimension > 1:
         v = np.repeat(v, dimension)
     if v.shape != (dimension,):
         raise FieldError("constant value must match the dimension")
-    mod = make_modulus(modulus)
 
     def ev(t, pts):
         out = np.broadcast_to(v, pts.shape).copy()
@@ -599,8 +577,8 @@ def _make_constant(dimension, value=1.0, modulus="linear"):
         {"value": v.tolist()},
         float(np.sqrt(np.sum(v * v))),
         ev,
-        witness=constant_witness(0.0, mod),
-        modulus=mod,
+        witness=constant_witness(0.0),
+        modulus=make_modulus("linear"),
         div_evaluator=div,
     )
 
@@ -642,7 +620,6 @@ def _make_linear(dimension, slope=-1.0):
     theta, dtheta = _trunc_profile(mesh, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
     sup_bound = op_norm * float(np.max(mesh * theta))
     lipschitz = op_norm * float(np.max(np.abs(theta + mesh * dtheta)))
-    mod = make_modulus("linear")
     return VectorField(
         dimension,
         "linear",
@@ -654,15 +631,14 @@ def _make_linear(dimension, slope=-1.0):
         },
         sup_bound,
         ev,
-        witness=constant_witness(0.5 * lipschitz, mod),
-        modulus=mod,
+        witness=constant_witness(0.5 * lipschitz),
+        modulus=make_modulus("linear"),
         div_evaluator=div,
     )
 
 
 def _make_osgood_sum(dimension, terms=1000):
     series = SeriesEvaluator(terms)
-    mod = make_modulus("log")
     c2 = measure_osgood_constant(terms)
 
     def ev(t, pts):
@@ -681,8 +657,8 @@ def _make_osgood_sum(dimension, terms=1000):
         {"terms": terms, "c2_measured": c2, "tail_bound": 1.0 / terms},
         PI2_OVER_6,
         ev,
-        witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM, mod),
-        modulus=mod,
+        witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM),
+        modulus=make_modulus("log"),
         div_evaluator=div,
         series=series,
     )
@@ -791,7 +767,7 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     def g(t, pts):
         return c2d * (1.0 + g1(t, pts))
 
-    witness = WitnessFunction(g, "calibrated", osc.modulus)
+    witness = WitnessFunction(g, "calibrated")
     return VectorField(
         dimension,
         "combined",
@@ -810,6 +786,17 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
         singular_points=sob.singular_points,
         parts=(sob, osc),
     )
+
+
+# id -> constructor; the parameters after ``dimension`` are the config keys
+# the field reads
+CATALOG = {
+    "constant": _make_constant,
+    "linear": _make_linear,
+    "osgood-sum": _make_osgood_sum,
+    "sobolev-singular": _make_sobolev,
+    "combined": _make_combined,
+}
 
 
 # ==========================================================================
@@ -983,9 +970,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     witness = None
     if field.witness is not None:
         g = convolved(field.witness, 1)
-        witness = WitnessFunction(
-            lambda t, pts: g(t, pts)[:, 0], "mollified", field.witness.modulus
-        )
+        witness = WitnessFunction(lambda t, pts: g(t, pts)[:, 0], "mollified")
 
     return replace(
         field,
@@ -1253,7 +1238,7 @@ def calibrate_witness_constant(
         raise CalibrationError("all sampled pairs were skipped")
     c_hat = float(ratios.max()) if len(ratios) else 0.0
 
-    witness = _maximal_witness(mf, c_hat * WITNESS_HEADROOM, grad_fn, field.modulus)
+    witness = _maximal_witness(mf, c_hat * WITNESS_HEADROOM, grad_fn)
     enriched = replace(
         field,
         witness=witness,
@@ -1282,7 +1267,7 @@ def _near_pairs(grid: PointGrid, n: int, rng):
     return ia[on_grid], ib[on_grid]
 
 
-def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn, modulus):
+def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn):
     """Witness g = scale * M|grad b|, nearest-grid inside the sampled ball.
 
     Outside the sampled ball the witness falls back to ``scale * |grad b|``
@@ -1314,7 +1299,7 @@ def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn, modulus):
                 out[far] = nearest(pts[far] * scale_in[:, None])
         return scale * out
 
-    return WitnessFunction(ev, "calibrated", modulus)
+    return WitnessFunction(ev, "calibrated")
 
 
 # ==========================================================================

@@ -216,17 +216,11 @@ def subsample_times(ensemble: TrajectoryEnsemble, stride: int) -> TrajectoryEnse
     if stride < 1 or (ensemble.n_times - 1) % stride != 0:
         raise FlowError("stride must divide the number of steps")
     tau = ensemble.tau * stride
-    times = np.arange((ensemble.n_times - 1) // stride + 1) * tau
-    return TrajectoryEnsemble(
-        ensemble.grid,
-        times,
-        ensemble.positions[:, ::stride, :],
-        ensemble.flags,
-        ensemble.field_id,
-        ensemble.mollification_level,
-        ensemble.sup_bound,
-        tau,
-        ensemble.method,
+    return replace(
+        ensemble,
+        times=np.arange((ensemble.n_times - 1) // stride + 1) * tau,
+        positions=ensemble.positions[:, ::stride, :],
+        tau=tau,
     )
 
 

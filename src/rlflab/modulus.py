@@ -113,10 +113,6 @@ class ModulusOfContinuity:
             return _LOGLOG_VALUE + _LOGLOG_SLOPE * (s - LOGLOG_BREAK)
         return float(eval_rho(self, s))
 
-    @property
-    def name(self) -> str:
-        return self.kind
-
 
 def make_modulus(kind: str, table=None) -> ModulusOfContinuity:
     """Catalog factory; ``table`` is a (s, v) pair for ``custom-table``."""
@@ -232,16 +228,12 @@ class PsiFunctional:
         if t == 0.0:
             return 0.0
         hi = max(self.delta, 1e-6)
-        for _ in range(200):
-            if self.psi(hi) >= t:
-                break
+        while not self.psi(hi) >= t:  # a NaN t grows the bracket and raises
             hi *= 2.0
             if hi > 1e15:
                 raise InversionError(
                     "bracket-growth budget exceeded in psi_inverse"
                 )
-        else:
-            raise InversionError("bracket-growth budget exceeded in psi_inverse")
         return invert_monotone(self.psi, t, 0.0, hi, tol)
 
     # -- bulk path ---------------------------------------------------------

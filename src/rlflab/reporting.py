@@ -48,22 +48,19 @@ class EstimateReport:
     metadata: dict
     slack: float
     additive: float
-    verdict: str
 
     def __post_init__(self):
         for name, value in (("lhs", self.lhs), ("rhs", self.rhs)):
             if not _is_finite_number(value):
                 raise ValueError(f"report {name} must be finite, got {value}")
-        expected = "pass" if self.holds_numerically() else "fail"
-        if self.verdict != expected:
-            raise ValueError("verdict inconsistent with recorded numbers")
-
-    def holds_numerically(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + self.slack) + self.additive
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.lhs <= self.rhs * (1.0 + self.slack) + self.additive
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,17 +104,12 @@ def make_report(
     slack: float = 0.05,
     additive: float = 0.0,
 ) -> EstimateReport:
-    """Assemble a report; the verdict is derived from the numbers."""
+    """Assemble a report with plain float sides, slack and budget."""
     if estimate_id not in ESTIMATE_IDS:
         raise ValueError(f"unknown estimate id {estimate_id!r}")
-    lhs = float(lhs)
-    rhs = float(rhs)
-    verdict = (
-        "pass" if lhs <= rhs * (1.0 + slack) + additive else "fail"
-    )
     return EstimateReport(
-        estimate_id, lhs, rhs, dict(constants), dict(metadata),
-        float(slack), float(additive), verdict,
+        estimate_id, float(lhs), float(rhs), dict(constants), dict(metadata),
+        float(slack), float(additive),
     )
 
 

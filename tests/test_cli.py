@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 from dataclasses import replace
@@ -8,12 +10,14 @@ import pytest
 from rlflab.cli import (
     SUITES,
     ConfigError,
+    ExperimentConfig,
     emit_plots,
     main,
     parse_config,
     run_experiment,
 )
 from rlflab.estimates import EstimateError
+from rlflab.fields import CATALOG
 from rlflab.numerics import NumericsError
 from rlflab.reporting import CSV_COLUMNS, make_report
 
@@ -70,9 +74,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":2: modulus 'custom-table' not in"):
             parse_config(path)
 
-    def test_negative_seed_line_anchored(self, tmp_path, capsys):
-        path = write_config(tmp_path, "field = constant\nseed = -1\n")
-        with pytest.raises(ConfigError, match=r":2: seed must be nonnegative"):
+    @pytest.mark.parametrize("key", ["seed", "slack", "cap"])
+    def test_negative_value_line_anchored(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, f"field = sobolev-singular\n{key} = -3\n")
+        with pytest.raises(ConfigError, match=f":2: {key} must be nonnegative"):
             parse_config(path)
         out = tmp_path / "out"
         code = main(["run", "--config", path, "--suite", "regularity",
@@ -96,6 +101,13 @@ class TestParseConfig:
         path = write_config(tmp_path, text, name="q.cfg")
         with pytest.raises(ConfigError, match=f"q.cfg{message}"):
             parse_config(path)
+
+    def test_catalog_parameters_are_config_keys(self):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for cid, make in CATALOG.items():
+            dimension, *params = inspect.signature(make).parameters
+            assert dimension == "dimension", cid
+            assert set(params) <= keys, cid
 
 
 FAST_CONSTANT = (
@@ -402,7 +414,23 @@ class TestPlots:
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
 
 
+# the epilog of ``rlf-lab run --help`` at 80 columns
+RUN_HELP_EPILOG = """\
+config keys and defaults: field = 'osgood-sum'; modulus = ''; d = 1; terms =
+1000; alpha = 0.3; cap = 0.0; value = 1.0; slope = -1.0; R = 1.0; T = 1.0; h =
+0.01; tau = 0.001; levels = '4,8,16,32'; eta = 0.05; epsilon = 0.0;
+radii_depth = 6; deltas = ''; slack = 0.05; seed = 20260809; out = 'rlf-lab-
+out'
+"""
+
+
 class TestSubcommands:
+    def test_run_help_epilog(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["run", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("config keys"):] == RUN_HELP_EPILOG
+
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
