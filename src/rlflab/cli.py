@@ -160,6 +160,8 @@ def parse_config(path) -> ExperimentConfig:
             "field",
             f"unknown field id {cfg.field!r}; catalog: " + ", ".join(CATALOG),
         )
+    if cfg.d not in (1, 2, 3):
+        raise anchored("d", "d must be 1, 2 or 3")
     kinds = MODULUS_KINDS[:-1]  # custom-table needs points a config lacks
     if cfg.modulus and cfg.modulus not in kinds:
         raise anchored("modulus", f"modulus {cfg.modulus!r} not in {kinds}")

@@ -30,7 +30,7 @@ from .fields import (
     measured_once,
     weak_type_check,
 )
-from .flow import TrajectoryEnsemble, sup_distance
+from .flow import TrajectoryEnsemble, sup_distance, sup_distance_rows
 from .modulus import ModulusOfContinuity, PsiFunctional
 from .numerics import (
     MEMBERSHIP_SLACK,
@@ -489,12 +489,11 @@ def _live_radii(ensemble: TrajectoryEnsemble, radii, threshold: float):
     Q(t, x, r) <= (r (1 + MEMBERSHIP_SLACK) + 2D)/r at every center.  A
     radius whose bound (with 1e-9 relative room for rounding) is at most
     ``threshold`` cannot exclude a center; it is kept when D is not finite.
+    D is streamed over row blocks by ``flow.sup_distance_rows``.
     """
-    grid = ensemble.grid
-    sq = np.zeros((grid.n_points, ensemble.n_times))
-    for j in range(grid.dimension):
-        sq += np.square(ensemble.positions[..., j] - grid.points[:, j, None])
-    reach = 2.0 * math.sqrt(sq.max(initial=0.0))
+    start = ensemble.grid.points[:, None, :]
+    moved = sup_distance_rows(ensemble.positions, start)
+    reach = 2.0 * float(moved.max(initial=0.0))
     radii = np.asarray(radii, dtype=np.float64)
     bound = (radii * (1.0 + MEMBERSHIP_SLACK) + reach) / radii
     return radii[~(bound * (1.0 + 1e-9) <= threshold)]
@@ -551,6 +550,12 @@ def regularity_set(
     falls as r grows: when it is at most the target less 1e-6 at the
     closest sampled lattice distance, every bound is vacuous and no other
     distance is evaluated.
+
+    Memory: the pair separations and the displacement D stream over row
+    blocks (``flow.sup_distance_rows``), so beyond per-pair and per-point
+    results their temporaries hold about ``numerics.BLOCK_ELEMENTS``
+    elements each.  A Q sweep over a live radius holds one (centers x mesh
+    times) sum and one offset's distances, and looks psi up in blocks.
     """
     grid = ensemble.grid
     modulus = _require_modulus(field)
@@ -612,8 +617,9 @@ def regularity_set(
         seps = np.sqrt(
             np.sum((grid.points[ia] - grid.points[ib]) ** 2, axis=1)
         )
-        diff = ensemble.positions[ia] - ensemble.positions[ib]
-        max_dist = np.sqrt(np.sum(diff * diff, axis=2)).max(axis=1)
+        max_dist = sup_distance_rows(
+            ensemble.positions, ensemble.positions, ia, ib
+        )
         # one psi_r(xi_cap) per lattice distance h sqrt(k), k an integer:
         # rounding splits one distance into several float separations
         steps = grid.indices[ia] - grid.indices[ib]

@@ -66,6 +66,7 @@ from .numerics import (
     grid_integral,
     integrate_1d,
     make_grid,
+    row_blocks,
     split_rows,
 )
 from .reporting import EstimateReport, make_report
@@ -147,30 +148,35 @@ SERIES_DOMAIN = math.pi / 2
 # tail-table build 0.69 s instead of 0.50 s, while 2^11 pays more per-call
 # overhead (0.90 s).  Values do not depend on the chunk length.
 _CHUNK = 1 << 15
-# float64 elements per block of the generic mollifier quadrature (64 KiB)
-_HEAP_BLOCK = 1 << 13
 
 
 def _chunked(fn, x, size=_CHUNK):
-    """fn over float64 ``x`` in pieces of ``size``; a scalar gives a float.
-
-    An input of at least two ``_CHUNK``s is split across the CPUs of the
-    affinity mask at piece edges (``numerics.split_rows``), so every piece
-    is computed exactly as in one process.
-    """
+    """fn over float64 ``x`` in pieces of ``size``; a scalar gives a float."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
     out = np.empty_like(flat)
+    _fill_pieces(lambda lo, hi: fn(flat[lo:hi]), out, size)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _fill_pieces(piece, out: np.ndarray, size=_CHUNK) -> np.ndarray:
+    """``out[lo:hi] = piece(lo, hi)`` over consecutive pieces of ``size``.
+
+    An output of at least two ``_CHUNK``s is split across the CPUs of the
+    affinity mask at piece edges (``numerics.split_rows``), so every piece
+    is computed exactly as in one process.
+    """
 
     def fill(lo, hi):
         for i in range(lo, hi, size):
-            out[i : i + size] = fn(flat[i : i + size])
+            j = min(i + size, hi)
+            out[i:j] = piece(i, j)
 
-    if len(flat) >= 2 * _CHUNK:
+    if len(out) >= 2 * _CHUNK:
         split_rows(fill, out, align=size)
     else:
-        fill(0, len(flat))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        fill(0, len(out))
+    return out
 
 
 def _series_chunk(x: np.ndarray, k_from: int, k_to: int) -> np.ndarray:
@@ -265,6 +271,10 @@ def _tail_table(terms: int) -> np.ndarray:
     recomputed entries, the first and the last included, match; otherwise
     it is rebuilt and overwritten.  The match has a tolerance because
     vectorized sin/cos may differ by an ulp between array lengths.
+
+    A build holds the table and one ``_CHUNK`` piece's temporaries: each
+    piece generates its own abscissas, so no array of every abscissa
+    exists next to the table.
     """
     n = int(round(SERIES_DOMAIN / SERIES_TAIL_STEP)) + 2
     idx = np.linspace(0, n - 1, 9).round().astype(np.int64)
@@ -276,10 +286,12 @@ def _tail_table(terms: int) -> np.ndarray:
         table = np.empty(0)  # missing or unreadable: rebuild
     if table.shape == (n,) and np.all(np.abs(table[idx] - fresh) <= 1e-12):
         return table
-    xs = np.arange(n, dtype=np.float64) * SERIES_TAIL_STEP
-    table = _chunked(
-        lambda xa: _series_chunk(xa, SERIES_DIRECT_TERMS + 1, terms), xs
-    )
+
+    def piece(lo, hi):
+        xs = np.arange(lo, hi, dtype=np.float64) * SERIES_TAIL_STEP
+        return _series_chunk(xs, SERIES_DIRECT_TERMS + 1, terms)
+
+    table = _fill_pieces(piece, np.empty(n))
     _save_atomic(path, table)
     return table
 
@@ -321,17 +333,22 @@ def measure_osgood_constant(terms: int) -> float:
 
     The true constant is existential in the underlying theory; this measured
     stand-in uses exact partial sums (no table), as the base field does.
-    Cached per term count.
+    The pairs are taken one ``_CHUNK`` piece at a time, so only their
+    ratios are held for all pairs.  Cached per term count.
     """
     rng = np.random.default_rng(OSGOOD_SEED)
     t = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
     s = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
     keep = t != s
     t, s = t[keep], s[keep]
-    vt = series_direct(t, terms)
-    vs = series_direct(s, terms)
-    ratios = np.abs(vt - vs) / make_modulus("log")(np.abs(t - s))
-    return float(ratios.max())
+    rho = make_modulus("log")
+
+    def piece(lo, hi):
+        tp, sp = t[lo:hi], s[lo:hi]
+        gap = _series_chunk(tp, 1, terms) - _series_chunk(sp, 1, terms)
+        return np.abs(gap) / rho(np.abs(tp - sp))
+
+    return float(_fill_pieces(piece, np.empty(len(t))).max())
 
 
 # ==========================================================================
@@ -936,22 +953,20 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     w = weights / mass
     d = field.dimension
     m = len(w)
-    # points per block: in d = 1 the (rows * m, d) temporaries stay below
-    # glibc's default 128 KiB mmap threshold, so they are reused from the
-    # heap instead of faulting in fresh pages at every RK4 stage
-    rows = max(64, _HEAP_BLOCK // (m * d))
 
     def convolved(base_ev, width):
         """The node quadrature of ``base_ev``, ``width`` values per point."""
 
         def ev(t, pts):
             out = np.empty((len(pts), width))
-            for i in range(0, len(pts), rows):
-                block = pts[i : i + rows]
+            # in d = 1 a block's (rows * m, d) temporaries fit the element
+            # budget; 64 rows at least keep the per-block overhead small
+            for blk in row_blocks(len(pts), m * d, min_rows=64):
+                block = pts[blk]
                 shifted = (block[:, None, :] - nodes[None, :, :]).reshape(-1, d)
                 vals = np.asarray(base_ev(t, shifted), np.float64)
                 vals = vals.reshape(len(block), m, width)
-                out[i : i + rows] = np.einsum("nmd,m->nd", vals, w)
+                out[blk] = np.einsum("nmd,m->nd", vals, w)
             return out
 
         return ev

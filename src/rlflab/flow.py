@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import VectorField
-from .numerics import GridError, PointGrid, make_grid, split_rows
+from .numerics import GridError, PointGrid, make_grid, row_blocks, split_rows
 
 __all__ = [
     "FlowError",
@@ -41,6 +41,7 @@ __all__ = [
     "CompressibilityEstimate",
     "integrate_ensemble",
     "sup_distance",
+    "sup_distance_rows",
     "subsample_times",
     "compressibility",
     "save_ensemble",
@@ -199,12 +200,36 @@ def integrate_ensemble(
 
 
 def sup_distance(a: TrajectoryEnsemble, b: TrajectoryEnsemble) -> np.ndarray:
-    """Per initial point, max over mesh times of |X_t(x) - X~_t(x)|."""
+    """Per initial point, max over mesh times of |X_t(x) - X~_t(x)|.
+
+    Streamed by ``sup_distance_rows``: beyond the result, its temporaries
+    hold one row block of about ``numerics.BLOCK_ELEMENTS`` elements each.
+    """
     if not a.same_mesh(b):
         raise FlowError("ensembles must share the initial grid and time mesh")
-    diff = a.positions - b.positions
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return dist.max(axis=1)
+    return sup_distance_rows(a.positions, b.positions)
+
+
+def sup_distance_rows(pa: np.ndarray, pb: np.ndarray, ia=None, ib=None):
+    """Per row i, max over mesh times t of |pa[ia[i], t] - pb[ib[i], t]|.
+
+    ``pa`` holds (row, time, coordinate) positions; ``pb`` the same, or one
+    time that broadcasts against every time of ``pa``.  ``ia`` and ``ib``
+    are row indices, every row in order when omitted.  Rows go through
+    ``numerics.row_blocks``, so the temporaries hold one block of about
+    ``numerics.BLOCK_ELEMENTS`` elements each.  A block keeps the largest
+    squared distance per row and the root is taken once per row: sqrt is
+    monotone and correctly rounded, so this is the largest distance bit for
+    bit.  A row with a NaN position gives NaN.
+    """
+    n = len(pa) if ia is None else len(ia)
+    out = np.empty(n)
+    for blk in row_blocks(n, pa.shape[1] * pa.shape[2]):
+        xa = pa[blk] if ia is None else pa[ia[blk]]
+        xb = pb[blk] if ib is None else pb[ib[blk]]
+        diff = xa - xb
+        out[blk] = np.sum(np.square(diff, out=diff), axis=2).max(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def subsample_times(ensemble: TrajectoryEnsemble, stride: int) -> TrajectoryEnsemble:

@@ -37,6 +37,7 @@ from .numerics import (
     NumericsError,
     integrate_1d,
     invert_monotone,
+    row_blocks,
 )
 
 __all__ = [
@@ -239,24 +240,43 @@ class PsiFunctional:
     # -- bulk path ---------------------------------------------------------
 
     def _build_table(self, need: float):
+        """Cumulative trapezoid of 1/(rho + delta) over the fine mesh and a
+        coarse mesh up to ``need``.
+
+        Past ``eval_rho``, at most three float64 arrays of the mesh length
+        are alive at once: each operation writes in place, and each array
+        is dropped after its last use.  The table keeps ``cum`` and
+        ``half``.
+        """
         fine = np.arange(0.0, _FINE_END + _FINE_STEP, _FINE_STEP)
+        n_fine, fine_end = len(fine), float(fine[-1])
         # arange with stop need + step can end a rounding error short of
         # need; one more step of headroom puts the last node past it.  The
         # nodes themselves do not depend on stop.
         coarse = np.arange(
-            fine[-1] + _COARSE_STEP, need + 2.0 * _COARSE_STEP, _COARSE_STEP
+            fine_end + _COARSE_STEP, need + 2.0 * _COARSE_STEP, _COARSE_STEP
         )
         mesh = np.concatenate([fine, coarse])
-        vals = 1.0 / (eval_rho(self.modulus, mesh) + self.delta)
-        pair_sums = vals[1:] + vals[:-1]
-        inc = 0.5 * np.diff(mesh) * pair_sums
-        cum = np.concatenate([[0.0], np.cumsum(inc)])
+        del fine, coarse
+        vals = eval_rho(self.modulus, mesh)
+        vals += self.delta
+        np.divide(1.0, vals, out=vals)
+        half = vals[1:] + vals[:-1]  # pair sums, halved below
+        del vals
+        inc = np.diff(mesh)
+        mesh_max = float(mesh[-1])
+        del mesh
+        inc *= 0.5
+        inc *= half
+        cum = np.empty(len(inc) + 1)
+        cum[0] = 0.0
+        np.cumsum(inc, out=cum[1:])
         table = {
-            "mesh_max": float(mesh[-1]),
-            "n_fine": len(fine),
-            "fine_end": float(fine[-1]),
+            "mesh_max": mesh_max,
+            "n_fine": n_fine,
+            "fine_end": fine_end,
             "cum": cum,
-            "half": np.multiply(pair_sums, 0.5, out=pair_sums),  # per cell
+            "half": np.multiply(half, 0.5, out=half),  # per cell
         }
         object.__setattr__(self, "_table", table)
 
@@ -266,7 +286,10 @@ class PsiFunctional:
         The table covers ``[0, need]`` with ``need = max(xs) + step``; it is
         built on the first call and rebuilt, to at least twice its length,
         only when a later call needs more than the current mesh covers.
-        Raises :class:`ModulusError` for delta below ``BULK_DELTA_FLOOR``.
+        The lookup then runs over ``numerics.row_blocks`` of ``xs``, so
+        beyond the result its temporaries hold about
+        ``numerics.BLOCK_ELEMENTS`` elements each.  Raises
+        :class:`ModulusError` for delta below ``BULK_DELTA_FLOOR``.
         """
         if self.delta < BULK_DELTA_FLOOR:
             raise ModulusError(
@@ -282,16 +305,22 @@ class PsiFunctional:
             tab = self._table
         cum, half = tab["cum"], tab["half"]
         n_fine, fine_end = tab["n_fine"], tab["fine_end"]
-        # one index path: cell j of the fine mesh is cell j of the table,
-        # cell j of the coarse mesh (origin fine_end) is cell n_fine - 1 + j
-        coarse = xs > fine_end
-        origin = coarse * fine_end
-        step = np.where(coarse, _COARSE_STEP, _FINE_STEP)
-        last = np.where(coarse, len(cum) - n_fine - 1, n_fine - 2)
-        j = np.clip(((xs - origin) / step).astype(np.int64), 0, last)
-        s0 = origin + j * step
-        cell = j + coarse * (n_fine - 1)
-        return cum[cell] + (xs - s0) * half[cell]
+        flat = xs.ravel()
+        out = np.empty(len(flat))
+        for blk in row_blocks(len(flat), 1):
+            x = flat[blk]
+            # one index path: cell j of the fine mesh is cell j of the
+            # table, cell j of the coarse mesh (origin fine_end) is cell
+            # n_fine - 1 + j
+            coarse = x > fine_end
+            origin = coarse * fine_end
+            step = np.where(coarse, _COARSE_STEP, _FINE_STEP)
+            last = np.where(coarse, len(cum) - n_fine - 1, n_fine - 2)
+            j = np.clip(((x - origin) / step).astype(np.int64), 0, last)
+            s0 = origin + j * step
+            cell = j + coarse * (n_fine - 1)
+            out[blk] = cum[cell] + (x - s0) * half[cell]
+        return out.reshape(xs.shape)
 
 
 # --------------------------------------------------------------------------

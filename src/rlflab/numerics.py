@@ -2,10 +2,11 @@
 
 Lattice grids covering centered balls, ball averages and Lebesgue-measure
 helpers, adaptive 1-D quadrature, bisection inversion of monotone
-functions, and ``split_rows``, which fills the rows of an array across the
-CPUs of the affinity mask.  Everything else in this module is a pure
-function of its inputs and deterministic, so all operations are safe to
-call concurrently.
+functions, ``row_blocks``, which cuts a row-wise reduction into blocks of a
+fixed element budget, and ``split_rows``, which fills the rows of an array
+across the CPUs of the affinity mask.  Everything else in this module is a
+pure function of its inputs and deterministic, so all operations are safe
+to call concurrently.
 
 Conventions
 -----------
@@ -44,6 +45,7 @@ __all__ = [
     "grid_integral",
     "integrate_1d",
     "invert_monotone",
+    "row_blocks",
     "split_rows",
 ]
 
@@ -378,6 +380,30 @@ def invert_monotone(
     raise InversionError(
         f"bisection stalled at residual {abs(fx - target)} > tol {tol}"
     )
+
+
+# --------------------------------------------------------------------------
+# row blocks
+# --------------------------------------------------------------------------
+
+# float64 elements per row block (64 KiB): a block's temporaries stay below
+# glibc's default 128 KiB mmap threshold, so they are reused from the heap
+# instead of faulting in fresh pages for every block
+BLOCK_ELEMENTS = 1 << 13
+
+
+def row_blocks(n_rows: int, row_size: int, min_rows: int = 1) -> list:
+    """Slices cutting ``range(n_rows)`` into consecutive blocks of
+    ``max(min_rows, BLOCK_ELEMENTS // row_size)`` rows; the last may be
+    shorter.
+
+    A reduction that treats each row on its own gives the same values over
+    the blocks as over all rows at once, while its temporaries hold one
+    block: about ``BLOCK_ELEMENTS`` elements each, or ``min_rows`` rows when
+    one row is larger than the budget.
+    """
+    step = max(min_rows, BLOCK_ELEMENTS // row_size)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 # --------------------------------------------------------------------------

@@ -86,6 +86,18 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "4"])
+    def test_dimension_line_anchored(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"field = constant\nd = {value}\n")
+        with pytest.raises(ConfigError, match=":2: d must be 1, 2 or 3"):
+            parse_config(path)
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert ":2: d must be 1, 2 or 3" in err
+
     @pytest.mark.parametrize(
         "text, message",
         [
