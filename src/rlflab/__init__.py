@@ -45,8 +45,6 @@ from .flow import (
     TrajectoryEnsemble,
     compressibility,
     integrate_ensemble,
-    load_ensemble,
-    save_ensemble,
     subsample_times,
     sup_distance,
 )

@@ -40,7 +40,7 @@ from .fields import (
     weak_type_check,
 )
 from .flow import FlowError, integrate_ensemble
-from .modulus import MODULUS_KINDS, ModulusError, PsiFunctional, make_modulus
+from .modulus import NAMED_KINDS, ModulusError, PsiFunctional, make_modulus
 from .numerics import NumericsError, ball_measure, make_grid
 from .reporting import reports_to_csv
 
@@ -162,9 +162,8 @@ def parse_config(path) -> ExperimentConfig:
         )
     if cfg.d not in (1, 2, 3):
         raise anchored("d", "d must be 1, 2 or 3")
-    kinds = MODULUS_KINDS[:-1]  # custom-table needs points a config lacks
-    if cfg.modulus and cfg.modulus not in kinds:
-        raise anchored("modulus", f"modulus {cfg.modulus!r} not in {kinds}")
+    if cfg.modulus and cfg.modulus not in NAMED_KINDS:
+        raise anchored("modulus", f"modulus {cfg.modulus!r} not in {NAMED_KINDS}")
     for key in ("R", "T", "h", "tau", "eta"):
         if getattr(cfg, key) <= 0.0:
             raise anchored(key, f"{key} must be positive")
@@ -602,7 +601,7 @@ def _build_parser():
     sub.add_parser("catalog", help="list catalog fields and modulus kinds")
 
     psi = sub.add_parser("psi", help="evaluate the separation functional")
-    psi.add_argument("--modulus", required=True, choices=MODULUS_KINDS[:-1])
+    psi.add_argument("--modulus", required=True, choices=NAMED_KINDS)
     psi.add_argument("--delta", type=float, required=True)
     psi.add_argument("--xi", type=float, required=True)
     return parser
@@ -619,7 +618,7 @@ def main(argv=None) -> int:
         for cid in CATALOG:
             print(f"  {cid}")
         print("moduli:")
-        for kind in MODULUS_KINDS:
+        for kind in NAMED_KINDS:
             print(f"  {kind}")
         return 0
     if args.command == "psi":

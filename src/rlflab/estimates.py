@@ -38,6 +38,7 @@ from .numerics import (
     ball_measure,
     grid_integral,
     make_grid,
+    row_blocks,
     split_rows,
 )
 from .reporting import EstimateReport, make_report
@@ -463,20 +464,22 @@ def _q_sweep(
 ):
     """sup over mesh times and radii of Q(t, x, r) for x in B(center_radius).
 
-    Ball averages accumulate over lattice offsets, vectorized across all
-    centers and mesh times at once; the center itself adds psi(0) = 0.
+    Ball averages accumulate over lattice offsets, vectorized across the
+    mesh times and one ``numerics.row_blocks`` block of centers at a time,
+    so each center's sum keeps its offset order whatever the block; the
+    center itself adds psi(0) = 0.
     """
     rows = np.flatnonzero(ensemble.grid.ball_mask(center_radius))
     q_sup = np.zeros(len(rows))
     for r in radii:
         psi = PsiFunctional(modulus, float(r))
-        acc = np.zeros((len(rows), ensemble.n_times))
-        count = 1
-        for dist in _offset_distances(ensemble, rows, r):
-            vals = psi.psi_values(dist.ravel())
-            acc += vals.reshape(dist.shape)
-            count += 1
-        q_sup = np.maximum(q_sup, (acc / count).max(axis=1))
+        for blk in row_blocks(len(rows), ensemble.n_times):
+            acc = np.zeros((len(rows[blk]), ensemble.n_times))
+            count = 1
+            for dist in _offset_distances(ensemble, rows[blk], r):
+                acc += psi.psi_values(dist)
+                count += 1
+            q_sup[blk] = np.maximum(q_sup[blk], (acc / count).max(axis=1))
     return rows, q_sup
 
 
@@ -554,8 +557,7 @@ def regularity_set(
     Memory: the pair separations and the displacement D stream over row
     blocks (``flow.sup_distance_rows``), so beyond per-pair and per-point
     results their temporaries hold about ``numerics.BLOCK_ELEMENTS``
-    elements each.  A Q sweep over a live radius holds one (centers x mesh
-    times) sum and one offset's distances, and looks psi up in blocks.
+    elements each, and so do a Q sweep's sum and offset distances.
     """
     grid = ensemble.grid
     modulus = _require_modulus(field)
@@ -614,32 +616,23 @@ def regularity_set(
         ib = rng.choice(e_rows, n_pair_samples)
         keep = ia != ib
         ia, ib = ia[keep], ib[keep]
-        seps = np.sqrt(
-            np.sum((grid.points[ia] - grid.points[ib]) ** 2, axis=1)
-        )
         max_dist = sup_distance_rows(
             ensemble.positions, ensemble.positions, ia, ib
         )
-        # one psi_r(xi_cap) per lattice distance h sqrt(k), k an integer:
-        # rounding splits one distance into several float separations
+        # one psi_r per lattice distance r = h sqrt(k), k an integer, serves
+        # the vacuity check psi_r(xi_cap) and the bound of every pair at r
         steps = grid.indices[ia] - grid.indices[ib]
         lattice = np.sum(steps * steps, axis=1)
-        bounds = np.full_like(seps, np.inf)  # beyond any attainable distance
+        bounds = np.full(len(ia), np.inf)  # beyond any attainable distance
         ks = np.unique(lattice)
         # psi_r(xi_cap) falls as r grows: vacuous at the closest distance,
         # with room for the quadrature error, means vacuous at every one
         r_min = grid.spacing * math.sqrt(ks[0])
         if PsiFunctional(modulus, r_min).psi(xi_cap) + 1e-6 > target:
             for k in ks:
-                r = grid.spacing * math.sqrt(k)
-                if PsiFunctional(modulus, r).psi(xi_cap) <= target:
-                    continue
-                at = lattice == k
-                for r_u in np.unique(seps[at]):
-                    fam = PsiFunctional(modulus, float(r_u))
-                    bounds[at & (seps == r_u)] = fam.psi_inverse(
-                        target, tol=1e-9
-                    )
+                fam = PsiFunctional(modulus, grid.spacing * math.sqrt(k))
+                if fam.psi(xi_cap) > target:
+                    bounds[lattice == k] = fam.psi_inverse(target, tol=1e-9)
         n_vacuous = int(np.isinf(bounds).sum())
         finite = np.isfinite(bounds)
         ratios = np.zeros_like(bounds)

@@ -26,6 +26,10 @@ unmodified and recorded in reports.
 Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
 
+Result files (reports, ``summary.csv``, plots) are written by ``cli`` and
+``reporting`` alone; the only file this module writes is the disk cache of
+the tail table below.
+
 Performance note: the base ``osgood-sum`` evaluates V_K exactly
 (``series_direct``); only its mollified levels, which the flows integrate,
 read the tail table.  V_K is even and pi-periodic, so a mollified level
@@ -89,8 +93,6 @@ __all__ = [
     "series_direct",
     "series_deriv_direct",
     "measure_osgood_constant",
-    "export_maximal_csv",
-    "export_witness_csv",
 ]
 
 PI2_OVER_6 = math.pi**2 / 6.0
@@ -1065,15 +1067,14 @@ class MaximalFunctionGrid:
     The sup over radii runs over the dyadic radii plus the degenerate
     single-point ball, which realizes the r -> 0 limit, so M f >= |f|
     pointwise.  Balls that leave the sampled domain are averaged over
-    in-domain points only and flagged boundary-affected.  The ball sums come
-    from one row-prefix pass in every dimension (see ``maximal_function``).
+    in-domain points only.  The ball sums come from one row-prefix pass in
+    every dimension (see ``maximal_function``).
     """
 
     grid: PointGrid
     radius_cap: float
     radii: np.ndarray
     values: np.ndarray
-    boundary: np.ndarray
 
 
 def dyadic_radii(radius_cap: float, spacing: float, depth: int = 6) -> np.ndarray:
@@ -1141,8 +1142,7 @@ def maximal_function(
             total[every + dst] += rows[every + src]
         sums, counts = total[every + grid.box_index()]
         values = np.maximum(values, sums / counts)
-    boundary = ~grid.ball_mask(grid.radius - float(radii.max()))
-    return MaximalFunctionGrid(grid, float(radius_cap), radii, values, boundary)
+    return MaximalFunctionGrid(grid, float(radius_cap), radii, values)
 
 
 def weak_type_check(
@@ -1315,33 +1315,3 @@ def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn):
         return scale * out
 
     return WitnessFunction(ev, "calibrated")
-
-
-# ==========================================================================
-# CSV exports
-# ==========================================================================
-
-
-def export_maximal_csv(mf: MaximalFunctionGrid, path):
-    """Write (coordinates..., value, boundary_flag) rows."""
-    d = mf.grid.dimension
-    header = ",".join([f"x{j + 1}" for j in range(d)] + ["value", "boundary_flag"])
-    lines = [header]
-    for row, val, flag in zip(mf.grid.points, mf.values, mf.boundary):
-        coords = ",".join(repr(float(c)) for c in row)
-        lines.append(f"{coords},{val!r},{int(flag)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_witness_csv(witness: WitnessFunction, grid: PointGrid, path, t=0.0):
-    """Sample a witness on a grid and write (coordinates..., value, flag)."""
-    vals = witness(t, grid.points)
-    d = grid.dimension
-    header = ",".join([f"x{j + 1}" for j in range(d)] + ["value", "boundary_flag"])
-    lines = [header]
-    for row, val in zip(grid.points, vals):
-        coords = ",".join(repr(float(c)) for c in row)
-        lines.append(f"{coords},{float(val)!r},0")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -26,14 +26,12 @@ suite stands in for it.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import VectorField
-from .numerics import GridError, PointGrid, make_grid, row_blocks, split_rows
+from .numerics import PointGrid, row_blocks, split_rows
 
 __all__ = [
     "FlowError",
@@ -44,8 +42,6 @@ __all__ = [
     "sup_distance_rows",
     "subsample_times",
     "compressibility",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 GROWTH_SLACK_STEPS = 10.0  # growth bound slack, in units of tau
@@ -72,7 +68,6 @@ class TrajectoryEnsemble:
     mollification_level: int | None
     sup_bound: float
     tau: float
-    method: str = "rk4"
 
     @property
     def horizon(self) -> float:
@@ -291,73 +286,4 @@ def compressibility(
             best, best_t, best_cell = float(val), ti, top
     return CompressibilityEstimate(
         float(cell_size), best, best_t, best_cell, analytic
-    )
-
-
-# --------------------------------------------------------------------------
-# portable serialization: CSV positions + JSON-style sidecar metadata
-# --------------------------------------------------------------------------
-
-
-def save_ensemble(ensemble: TrajectoryEnsemble, csv_path, meta_path) -> None:
-    d = ensemble.grid.dimension
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["point_index", "time_index"]
-            + [f"x{j + 1}" for j in range(d)]
-            + ["flag"]
-        )
-        for pi in range(ensemble.grid.n_points):
-            flag = int(ensemble.flags[pi])
-            for ti in range(ensemble.n_times):
-                row = [pi, ti]
-                row += [repr(float(c)) for c in ensemble.positions[pi, ti]]
-                row.append(flag)
-                writer.writerow(row)
-    meta = {
-        "field": ensemble.field_id,
-        "n": ensemble.mollification_level,
-        "tau": ensemble.tau,
-        "T": ensemble.horizon,
-        "R": ensemble.grid.radius,
-        "h": ensemble.grid.spacing,
-        "d": d,
-        "sup_bound": ensemble.sup_bound,
-        "method": ensemble.method,
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_ensemble(csv_path, meta_path) -> TrajectoryEnsemble:
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    grid = make_grid(int(meta["d"]), float(meta["R"]), float(meta["h"]))
-    tau = float(meta["tau"])
-    n_steps = int(round(meta["T"] / tau))
-    times = np.arange(n_steps + 1, dtype=np.float64) * tau
-    d = int(meta["d"])
-    positions = np.empty((grid.n_points, n_steps + 1, d))
-    flags = np.zeros(grid.n_points, dtype=bool)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["point_index", "time_index"]:
-            raise FlowError("unrecognized ensemble CSV header")
-        for row in reader:
-            pi, ti = int(row[0]), int(row[1])
-            positions[pi, ti, :] = [float(v) for v in row[2 : 2 + d]]
-            flags[pi] = bool(int(row[2 + d]))
-    return TrajectoryEnsemble(
-        grid,
-        times,
-        positions,
-        flags,
-        str(meta["field"]),
-        meta["n"] if meta["n"] is None else int(meta["n"]),
-        float(meta["sup_bound"]),
-        tau,
-        str(meta["method"]),
     )

@@ -50,7 +50,10 @@ __all__ = [
     "check_osgood",
 ]
 
-MODULUS_KINDS = ("linear", "log", "loglog", "custom-table")
+# the kinds ``make_modulus`` builds from their name alone, the ones a config
+# or ``rlf-lab psi`` can name; ``custom-table`` also needs sample points
+NAMED_KINDS = ("linear", "log", "loglog")
+MODULUS_KINDS = NAMED_KINDS + ("custom-table",)
 
 LOG_BREAK = math.exp(-2.0)  # e^-2
 LOGLOG_BREAK = math.exp(-math.e)  # e^-e
@@ -301,6 +304,9 @@ class PsiFunctional:
         if tab is None or tab["mesh_max"] < need:
             if tab is not None:
                 need = max(need, 2.0 * tab["mesh_max"])
+                # freed first, so it is not alive next to the new build
+                tab = None
+                object.__setattr__(self, "_table", None)
             self._build_table(need)
             tab = self._table
         cum, half = tab["cum"], tab["half"]

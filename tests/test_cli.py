@@ -448,6 +448,27 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "osgood-sum" in out and "loglog" in out
 
+    def test_catalog_lists_what_commands_accept(self, capsys, tmp_path):
+        # every listed modulus is one that a config and ``psi`` accept
+        assert main(["catalog"]) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            "fields:\n"
+            "  constant\n  linear\n  osgood-sum\n  sobolev-singular\n"
+            "  combined\n"
+            "moduli:\n"
+            "  linear\n  log\n  loglog\n"
+        )
+        moduli = out.split("moduli:\n")[1].split()
+        for kind in moduli:
+            cfg = parse_config(write_config(tmp_path, f"modulus = {kind}\n"))
+            assert cfg.modulus == kind
+            argv = ["psi", "--modulus", kind, "--delta", "1.0", "--xi", "0.5"]
+            assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["psi", "--modulus", "custom-table", "--delta", "1.0", "--xi", "1"]
+        assert main(argv) == 2
+
     def test_psi_linear_closed_form(self, capsys):
         assert main(["psi", "--modulus", "linear", "--delta", "1.0",
                      "--xi", str(np.e - 1.0)]) == 0

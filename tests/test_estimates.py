@@ -247,8 +247,9 @@ class TestLiveRadii:
 
 
 def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
-    """regularity_set's pair check with one psi_r(xi_cap) per lattice
-    distance and no vacuity shortcut: (worst ratio, vacuous bounds)."""
+    """regularity_set's pair check with one psi_r per lattice distance r,
+    for psi_r(xi_cap) and the bound, and no vacuity shortcut: (worst ratio,
+    vacuous bounds)."""
     grid = ens.grid
     target = 2.0 * lens_constant(grid.dimension) * threshold
     xi_cap = 2.0 * ens.growth_radius() + 1.0
@@ -257,20 +258,16 @@ def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
     ib = rng.choice(e_rows, n_pairs)
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
-    seps = np.sqrt(np.sum((grid.points[ia] - grid.points[ib]) ** 2, axis=1))
     diff = ens.positions[ia] - ens.positions[ib]
     max_dist = np.sqrt(np.sum(diff * diff, axis=2)).max(axis=1)
     steps = grid.indices[ia] - grid.indices[ib]
     lattice = np.sum(steps * steps, axis=1)
-    bounds = np.full_like(seps, np.inf)
+    bounds = np.full(len(ia), np.inf)
     for k in np.unique(lattice):
-        r = grid.spacing * math.sqrt(k)
-        if PsiFunctional(modulus, r).psi(xi_cap) <= target:
+        fam = PsiFunctional(modulus, grid.spacing * math.sqrt(k))
+        if fam.psi(xi_cap) <= target:
             continue
-        at = lattice == k
-        for r_u in np.unique(seps[at]):
-            fam = PsiFunctional(modulus, float(r_u))
-            bounds[at & (seps == r_u)] = fam.psi_inverse(target, tol=1e-9)
+        bounds[lattice == k] = fam.psi_inverse(target, tol=1e-9)
     finite = np.isfinite(bounds)
     ratios = np.zeros_like(bounds)
     ratios[finite] = max_dist[finite] / bounds[finite]
@@ -308,6 +305,46 @@ class TestPairCheckShortcut:
             slack=rep.slack,
         )
         assert rep.to_json() == expect.to_json()
+
+
+class TestPairBounds:
+    def test_one_psi_inverse_per_lattice_distance(
+        self, linear_contracting, monkeypatch
+    ):
+        # rounding splits one lattice distance h sqrt(k) into several float
+        # separations; the pairs at that distance still share one inverse
+        f = linear_contracting
+        grid = make_grid(1, 0.75, 0.01)
+        ens = integrate_ensemble(f, grid, 0.01, 0.005)
+        deltas = []
+        inverse = PsiFunctional.psi_inverse
+
+        def counted(self, t, tol=1e-10):
+            deltas.append(self.delta)
+            return inverse(self, t, tol)
+
+        monkeypatch.setattr(PsiFunctional, "psi_inverse", counted)
+        reg, rep = regularity_set(ens, f, 0.25, 0.4, n_pair_samples=500)
+        monkeypatch.undo()
+        # the pairs regularity_set samples, and the lattice distances among
+        # them whose bound psi_r^-1(target) is finite
+        rng = np.random.default_rng(20260809)
+        ia = rng.choice(reg.point_indices, 500)
+        ib = rng.choice(reg.point_indices, 500)
+        ia, ib = ia[ia != ib], ib[ia != ib]
+        k = np.unique((grid.indices[ia] - grid.indices[ib])[:, 0] ** 2)
+        target = 2.0 * lens_constant(1) * reg.threshold
+        finite = [
+            grid.spacing * math.sqrt(kk)
+            for kk in k
+            if PsiFunctional(f.modulus, grid.spacing * math.sqrt(kk)).psi(
+                rep.constants["xi_cap"]
+            )
+            > target
+        ]
+        assert len(finite) >= 2
+        assert deltas == finite
+        assert rep.constants["n_vacuous_bounds"] < rep.constants["n_pairs"]
 
 
 class TestBaseFieldConstants:

@@ -21,8 +21,6 @@ from rlflab.fields import (
     calibrate_witness_constant,
     catalog_field,
     divergence_negative_part,
-    export_maximal_csv,
-    export_witness_csv,
     maximal_function,
     measure_osgood_constant,
     mollify,
@@ -441,12 +439,6 @@ class TestMaximal:
         # at radius 4 the overlap is 2 over diameter 8
         assert mf.values[target] >= 0.25 - 0.02
 
-    def test_boundary_flags(self):
-        grid = make_grid(1, 1.0, 0.05)
-        mf = maximal_function(grid, np.ones(grid.n_points), 0.5)
-        x = grid.coords()
-        np.testing.assert_array_equal(mf.boundary, np.abs(x) + 0.5 > 1.0 + 1e-12)
-
     def test_2d_constant_and_domination(self):
         grid = make_grid(2, 1.0, 0.1)
         mf = maximal_function(grid, np.full(grid.n_points, 2.0), 0.5)
@@ -568,23 +560,3 @@ class TestCalibration:
         grid = make_grid(1, 1.0, 0.1)
         with pytest.raises(CalibrationError):
             calibrate_witness_constant(f, grid, np.zeros(grid.n_points), 10)
-
-
-class TestExports:
-    def test_maximal_csv(self, tmp_path):
-        grid = make_grid(1, 1.0, 0.25)
-        mf = maximal_function(grid, np.ones(grid.n_points), 0.5)
-        path = tmp_path / "mf.csv"
-        export_maximal_csv(mf, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,value,boundary_flag"
-        assert len(lines) == grid.n_points + 1
-
-    def test_witness_csv(self, tmp_path, osgood):
-        grid = make_grid(1, 1.0, 0.25)
-        path = tmp_path / "w.csv"
-        export_witness_csv(osgood.witness, grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == grid.n_points + 1
-        val = float(lines[1].split(",")[1])
-        assert val == pytest.approx(osgood.witness(0.0, grid.points)[0])

@@ -6,8 +6,6 @@ from rlflab.flow import (
     FlowError,
     compressibility,
     integrate_ensemble,
-    load_ensemble,
-    save_ensemble,
     sup_distance,
 )
 from rlflab.numerics import grid_integral, make_grid
@@ -238,19 +236,3 @@ class TestCompressibility:
     def test_cell_size_validation(self, ens_b1):
         with pytest.raises(FlowError):
             compressibility(ens_b1[8], 0.01)
-
-
-class TestSerialization:
-    def test_round_trip(self, moll, tmp_path):
-        grid = make_grid(1, 0.5, 0.1)
-        ens = integrate_ensemble(moll[4], grid, 0.2, 0.02)
-        csv_path = tmp_path / "ens.csv"
-        meta_path = tmp_path / "ens.json"
-        save_ensemble(ens, csv_path, meta_path)
-        back = load_ensemble(csv_path, meta_path)
-        assert np.array_equal(back.positions, ens.positions)
-        assert np.array_equal(back.times, ens.times)
-        assert back.field_id == ens.field_id
-        assert back.mollification_level == ens.mollification_level
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "point_index,time_index,x1,flag"

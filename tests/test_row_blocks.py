@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlflab.estimates import _live_radii, regularity_set
+from rlflab.estimates import _live_radii, _q_sweep, regularity_set
 from rlflab.fields import (
     OSGOOD_PAIRS,
     OSGOOD_SEED,
@@ -199,6 +199,18 @@ class TestPeakMemory:
         assert reg.size >= 2 and rep.constants["n_pairs"] == 1000
         assert peak < 2 * MiB
 
+    def test_q_sweep(self):
+        # 201 centers x 2,001 mesh times: 3.1 MiB per (centers x times)
+        # array.  Blocked, the sweep holds the psi table (about 4 MiB to
+        # build) and one block, 6.0 MiB; over all centers at once it
+        # peaked at 21 MiB
+        ens = synthetic_ensemble(1, 1.1, 0.01, 2001, nan=False)
+        (rows, q_sup), peak = traced_peak(
+            lambda: _q_sweep(ens, make_modulus("log"), [0.05], 1.0)
+        )
+        assert len(rows) == 201 and np.all(q_sup > 0.0)
+        assert peak < 8 * MiB
+
     def test_sup_distance(self):
         # 201 points x 2,001 times x 2 coordinates: 6.1 MiB per full array,
         # 15 MiB peak unblocked
@@ -230,6 +242,20 @@ class TestPeakMemory:
         # included); the unblocked build held seven
         fam = PsiFunctional(make_modulus(kind), 0.01)
         _, peak = traced_peak(lambda: fam._build_table(3.0))
+        assert peak < 4 * 8 * len(fam._table["cum"])
+
+    @pytest.mark.parametrize("kind", ["linear", "log", "loglog"])
+    def test_psi_table_rebuild(self, kind):
+        # a query past the table rebuilds it after freeing the old one; the
+        # old table alive next to the build took the peak to 5.1 arrays
+        fam = PsiFunctional(make_modulus(kind), 0.01)
+
+        def first_and_rebuild():
+            fam.psi_values(np.array([3.0]))
+            fam.psi_values(np.array([3.5]))
+
+        _, peak = traced_peak(first_and_rebuild)
+        assert fam._table["mesh_max"] >= 6.0  # rebuilt at twice the length
         assert peak < 4 * 8 * len(fam._table["cum"])
 
     def test_tail_table_build(self, tmp_path, monkeypatch):
