@@ -27,7 +27,6 @@ from .modulus import (
 )
 from .fields import (
     CATALOG,
-    MaximalFunctionGrid,
     MollifierKernel,
     VectorField,
     WitnessFunction,
@@ -38,7 +37,6 @@ from .fields import (
     maximal_function,
     measure_osgood_constant,
     mollify,
-    weak_type_check,
 )
 from .flow import (
     CompressibilityEstimate,
@@ -49,7 +47,6 @@ from .flow import (
     sup_distance,
 )
 from .estimates import (
-    CauchyTable,
     RegularitySet,
     TranslationConstants,
     cauchy_diagnostic,
@@ -61,6 +58,7 @@ from .estimates import (
     stability_report,
     translation_constants,
     translation_functional,
+    weak_type_check,
 )
 from .reporting import EstimateReport, make_report
 

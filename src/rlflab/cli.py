@@ -30,15 +30,9 @@ from .estimates import (
     stability_report,
     translation_constants,
     translation_functional,
-)
-from .fields import (
-    CATALOG,
-    FieldError,
-    MollifierKernel,
-    catalog_field,
-    mollify,
     weak_type_check,
 )
+from .fields import CATALOG, FieldError, MollifierKernel, catalog_field, mollify
 from .flow import FlowError, integrate_ensemble
 from .modulus import NAMED_KINDS, ModulusError, PsiFunctional, make_modulus
 from .numerics import NumericsError, ball_measure, make_grid
@@ -277,10 +271,9 @@ def _cauchy_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     fields = [pipe.mollified(n) for n in cfg.levels]
     ensembles = [pipe.ensemble(n, _reach(cfg, "cauchy", n)) for n in cfg.levels]
-    _, reports = cauchy_diagnostic(
+    return cauchy_diagnostic(
         pipe.base_field(), fields, ensembles, cfg.eta, cfg.R, slack=cfg.slack
     )
-    return reports
 
 
 def _regularity_suite(pipe: _Pipeline):
@@ -621,15 +614,16 @@ def main(argv=None) -> int:
         for kind in NAMED_KINDS:
             print(f"  {kind}")
         return 0
-    if args.command == "psi":
-        if not (0.0 < args.delta < math.inf and 0.0 <= args.xi < math.inf):
-            print("psi needs finite delta > 0 and xi >= 0", file=sys.stderr)
-            return 2
-        fam = PsiFunctional(make_modulus(args.modulus), args.delta)
-        print(repr(fam.psi(args.xi)))
-        return 0
-    # run
+    if args.command == "psi" and not (
+        0.0 < args.delta < math.inf and 0.0 <= args.xi < math.inf
+    ):
+        print("psi needs finite delta > 0 and xi >= 0", file=sys.stderr)
+        return 2
     try:
+        if args.command == "psi":
+            fam = PsiFunctional(make_modulus(args.modulus), args.delta)
+            print(repr(fam.psi(args.xi)))
+            return 0
         cfg = parse_config(args.config)
         if args.out:
             cfg.out = args.out

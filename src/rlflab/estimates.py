@@ -1,12 +1,13 @@
 """Measured left and right sides for the quantitative flow estimates.
 
-Five families of checks, each emitting :class:`EstimateReport`:
+Six families of checks, each emitting :class:`EstimateReport`:
 
 * ``thm31``   a-priori stability of two flows in the psi_delta functional
 * ``cauchy``  the mollification Cauchy-sequence bound and its delta_{n,m}
 * ``thm41``   the regularity set E with its uniform modulus bound
 * ``prop43``  the ball-average compactness functional a(r, R, X)
 * ``thm44``   the translation estimate with its vanishing g(r) table
+* ``lemma23`` the weak-type superlevel bound of the local maximal function
 
 Verdicts use multiplicative slack (default 5%) plus a declared additive
 budget assembled from the discretization parameters (grid spacing, series
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .fields import (
     VectorField,
     WitnessFunction,
     compressibility_constant,
     dyadic_radii,
     measured_once,
-    weak_type_check,
 )
 from .flow import TrajectoryEnsemble, sup_distance, sup_distance_rows
 from .modulus import ModulusOfContinuity, PsiFunctional
@@ -46,7 +47,6 @@ from .reporting import EstimateReport, make_report
 __all__ = [
     "EstimateError",
     "RegularitySet",
-    "CauchyTable",
     "TranslationConstants",
     "lens_constant",
     "field_l1_distance",
@@ -57,10 +57,12 @@ __all__ = [
     "compactness_a",
     "translation_constants",
     "translation_functional",
+    "weak_type_check",
 ]
 
 DEFAULT_SLACK = 0.05
-# thm31 delta when none is given and the two fields coincide on the grid
+# least delta of thm31 (when none is given) and of Cauchy: the measured
+# field distance, or this when the fields (nearly) coincide on the grid
 ZERO_DISTANCE_DELTA = 1e-6
 
 # ratio of a ball's volume to its intersection with an equal ball centered
@@ -210,7 +212,7 @@ def _additive_budget(
     over the integration region.
     """
     terms = field.params.get("terms")
-    horizon_scale = region_measure / max(delta, 1e-300)
+    horizon_scale = region_measure / delta
     trunc = 2.0 / terms * horizon_scale if terms else 0.0
     rk4 = tau**4 * horizon_scale
     quad = 1e-8 * grid.n_points * grid.cell_volume
@@ -243,8 +245,8 @@ def stability_report(
     [0, T] x B(R_bar), R_bar = R + T max(||b||, ||b~||), and g the first
     field's witness (the theorem's reading).  ``||b - b~||`` is measured
     once per pair of fields and kept on ``field_a``, as is ``||g||``; when
-    ``delta`` is omitted it is also delta, or ``ZERO_DISTANCE_DELTA`` when
-    the two fields coincide on the grid.  The LHS takes one adaptive
+    ``delta`` is omitted it is max(||b - b~||, ``ZERO_DISTANCE_DELTA``), as
+    in ``cauchy_diagnostic``.  The LHS takes one adaptive
     psi_delta quadrature per grid point of B(region_radius), spread over the
     CPUs of the affinity mask (``numerics.split_rows``) and summed in grid
     order, so its value does not depend on the CPU count.
@@ -264,7 +266,7 @@ def stability_report(
     norm_grid = make_grid(grid.dimension, r_bar, grid.spacing)
     b_dist = _field_distance(field_a, field_b, ens_a.times, norm_grid)
     if delta is None:
-        delta = b_dist if b_dist > 0.0 else ZERO_DISTANCE_DELTA
+        delta = max(b_dist, ZERO_DISTANCE_DELTA)
     if not delta > 0.0:
         raise EstimateError("delta must be positive")
 
@@ -314,20 +316,6 @@ def stability_report(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CauchyTable:
-    """Per-pair mollification diagnostics for the Cauchy construction."""
-
-    levels: list
-    pairs: list  # (n, m) with n < m
-    deltas: np.ndarray  # ||b^n - b^m||_L1
-    distances: np.ndarray  # D_{n,m} = integral of the sup distance
-    psi_eta: np.ndarray
-    bounds: np.ndarray
-    eta: float
-    constant: float  # C = 2 L ||g|| + L
-
-
 def cauchy_diagnostic(
     base_field: VectorField,
     moll_fields: list,
@@ -335,12 +323,14 @@ def cauchy_diagnostic(
     eta: float,
     region_radius: float,
     slack: float = DEFAULT_SLACK,
-):
-    """Cauchy-sequence bound for the mollified flows.
+) -> list:
+    """Cauchy-sequence bound for the mollified flows, one report per level
+    pair (n, m) with n < m, in level order.
 
-    For each level pair (n, m): delta_{n,m} = ||b^n - b^m||_L1, the flow
-    gap D_{n,m} integrated over B(R), and the bound
-    eta |B(R)| + 2 R_bar C / psi_{delta_{n,m}}(eta) with
+    For each pair: the flow gap D_{n,m} integrated over B(R) (the lhs), and
+    the bound eta |B(R)| + 2 R_bar C / psi_delta(eta) with
+    delta = max(delta_{n,m}, ``ZERO_DISTANCE_DELTA``),
+    delta_{n,m} = ||b^n - b^m||_L1 (constant ``delta_nm``) and
     C = 2 L ||g||_L1([0,T] x B(R_bar + 1)) + L built from the base witness
     and the base compressibility bound.
     """
@@ -368,7 +358,8 @@ def cauchy_diagnostic(
     mask = grid.ball_mask(region_radius)
     region_measure = ball_measure(grid.dimension, region_radius)
     levels = [f.mollification_level for f in moll_fields]
-    pairs, deltas, dists, psis, bounds, reports = [], [], [], [], [], []
+    budget = _additive_budget(grid, base_field, first.tau, eta, region_measure)
+    reports = []
     for i in range(len(moll_fields)):
         for j in range(i + 1, len(moll_fields)):
             fn, fm = moll_fields[i], moll_fields[j]
@@ -377,11 +368,9 @@ def cauchy_diagnostic(
             d_nm = float(
                 np.sum(sup_distance(en, em)[mask]) * grid.cell_volume
             )
-            psi_val = PsiFunctional(modulus, max(delta_nm, 1e-300)).psi(eta)
+            delta = max(delta_nm, ZERO_DISTANCE_DELTA)
+            psi_val = PsiFunctional(modulus, delta).psi(eta)
             bound = eta * region_measure + 2.0 * r_bar * constant / psi_val
-            budget = _additive_budget(
-                grid, base_field, first.tau, eta, region_measure
-            )
             constants = {
                 "delta_nm": delta_nm,
                 "eta": eta,
@@ -404,22 +393,7 @@ def cauchy_diagnostic(
                     additive=budget["additive_total"],
                 )
             )
-            pairs.append((levels[i], levels[j]))
-            deltas.append(delta_nm)
-            dists.append(d_nm)
-            psis.append(psi_val)
-            bounds.append(bound)
-    table = CauchyTable(
-        levels,
-        pairs,
-        np.asarray(deltas),
-        np.asarray(dists),
-        np.asarray(psis),
-        np.asarray(bounds),
-        float(eta),
-        constant,
-    )
-    return table, reports
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -549,10 +523,10 @@ def regularity_set(
     caps Q at each dyadic radius from D = max |X_t(x) - x| alone; a radius
     whose cap is at most the threshold cannot exclude a center and is not
     swept.  The Q sweep then runs over the remaining radii (none, when
-    every cap is below the threshold).  In the pair check, psi_r(xi_cap)
-    falls as r grows: when it is at most the target less 1e-6 at the
-    closest sampled lattice distance, every bound is vacuous and no other
-    distance is evaluated.
+    every cap is below the threshold).  The pair check walks the sampled
+    lattice distances r upward; psi_r(xi_cap) falls as r grows, so the
+    walk stops at the first r where it is at most the target less 1e-6:
+    every bound from there on is vacuous.
 
     Memory: the pair separations and the displacement D stream over row
     blocks (``flow.sup_distance_rows``), so beyond per-pair and per-point
@@ -624,15 +598,15 @@ def regularity_set(
         steps = grid.indices[ia] - grid.indices[ib]
         lattice = np.sum(steps * steps, axis=1)
         bounds = np.full(len(ia), np.inf)  # beyond any attainable distance
-        ks = np.unique(lattice)
-        # psi_r(xi_cap) falls as r grows: vacuous at the closest distance,
-        # with room for the quadrature error, means vacuous at every one
-        r_min = grid.spacing * math.sqrt(ks[0])
-        if PsiFunctional(modulus, r_min).psi(xi_cap) + 1e-6 > target:
-            for k in ks:
-                fam = PsiFunctional(modulus, grid.spacing * math.sqrt(k))
-                if fam.psi(xi_cap) > target:
-                    bounds[lattice == k] = fam.psi_inverse(target, tol=1e-9)
+        for k in np.unique(lattice):
+            fam = PsiFunctional(modulus, grid.spacing * math.sqrt(k))
+            at_cap = fam.psi(xi_cap)
+            # psi_r(xi_cap) falls as r grows: vacuous here, with room for
+            # the quadrature error, means vacuous at every larger r
+            if at_cap + 1e-6 <= target:
+                break
+            if at_cap > target:
+                bounds[lattice == k] = fam.psi_inverse(target, tol=1e-9)
         n_vacuous = int(np.isinf(bounds).sum())
         finite = np.isfinite(bounds)
         ratios = np.zeros_like(bounds)
@@ -791,3 +765,55 @@ def translation_functional(
     return _report(
         "thm44", lhs, rhs, constants, _metadata(ensemble), slack=slack
     )
+
+
+# --------------------------------------------------------------------------
+# lemma 2.3: weak-type bound of the local maximal function
+# --------------------------------------------------------------------------
+
+
+def weak_type_check(
+    grid: PointGrid,
+    samples: np.ndarray,
+    region_radius: float,
+    radius_cap: float,
+    alphas,
+    metadata: dict | None = None,
+) -> EstimateReport:
+    """Measure the weak-type superlevel bound of M_lambda on |samples|.
+
+    For each threshold alpha, records the superlevel measure inside
+    B(region_radius) and the ratio  measure * alpha / integral |f|; the
+    report's measured constant is the sup of those ratios.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if np.any(alphas <= 0.0):
+        raise EstimateError("thresholds must be positive")
+    if grid.radius < region_radius + radius_cap - MEMBERSHIP_SLACK:
+        raise EstimateError("grid must cover B(region_radius + radius_cap)")
+    # looked up on ``fields`` at call time, so that a wrapper installed
+    # there also sees this call
+    m_f = fields.maximal_function(grid, samples, radius_cap)
+    inside = grid.ball_mask(region_radius)
+    integral = grid_integral(grid, np.abs(samples))
+    cell = grid.cell_volume
+    measures = np.array([(m_f[inside] > a).sum() * cell for a in alphas])
+    if integral > 0.0:
+        ratios = measures * alphas / integral
+        c_measured = float(ratios.max())
+    else:
+        ratios = np.zeros_like(alphas)
+        c_measured = 0.0
+    lhs = float(np.max(measures * alphas))
+    rhs = c_measured * integral
+    constants = {
+        "c_measured": c_measured,
+        "integral_abs_f": integral,
+        "alphas": alphas.tolist(),
+        "superlevel_measures": measures.tolist(),
+        "ratios": ratios.tolist(),
+        "region_radius": region_radius,
+        "radius_cap": radius_cap,
+    }
+    meta = {"h": grid.spacing, **(metadata or {})}
+    return _report("lemma23", lhs, rhs, constants, meta, slack=1e-12)

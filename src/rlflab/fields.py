@@ -26,8 +26,10 @@ unmodified and recorded in reports.
 Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
 
-Result files (reports, ``summary.csv``, plots) are written by ``cli`` and
-``reporting`` alone; the only file this module writes is the disk cache of
+This module builds fields and writes no reports: the lemma23 weak-type
+check of the maximal function is an estimate (``estimates``), and result
+files (reports, ``summary.csv``, plots) are written by ``cli`` and
+``reporting`` alone.  The only file this module writes is the disk cache of
 the tail table below.
 
 Performance note: the base ``osgood-sum`` evaluates V_K exactly
@@ -73,7 +75,6 @@ from .numerics import (
     row_blocks,
     split_rows,
 )
-from .reporting import EstimateReport, make_report
 
 __all__ = [
     "FieldError",
@@ -81,12 +82,10 @@ __all__ = [
     "WitnessFunction",
     "MollifierKernel",
     "VectorField",
-    "MaximalFunctionGrid",
     "CATALOG",
     "catalog_field",
     "mollify",
     "maximal_function",
-    "weak_type_check",
     "calibrate_witness_constant",
     "divergence_negative_part",
     "compressibility_constant",
@@ -1060,23 +1059,6 @@ def compressibility_constant(
 # ==========================================================================
 
 
-@dataclass(frozen=True)
-class MaximalFunctionGrid:
-    """Sampled values of the restricted local maximal function M_R f.
-
-    The sup over radii runs over the dyadic radii plus the degenerate
-    single-point ball, which realizes the r -> 0 limit, so M f >= |f|
-    pointwise.  Balls that leave the sampled domain are averaged over
-    in-domain points only.  The ball sums come from one row-prefix pass in
-    every dimension (see ``maximal_function``).
-    """
-
-    grid: PointGrid
-    radius_cap: float
-    radii: np.ndarray
-    values: np.ndarray
-
-
 def dyadic_radii(radius_cap: float, spacing: float, depth: int = 6) -> np.ndarray:
     """{R 2^-j} down to the grid spacing, at most depth+1 values."""
     radii = [radius_cap * 0.5**j for j in range(depth + 1)]
@@ -1091,8 +1073,13 @@ def maximal_function(
     samples: np.ndarray,
     radius_cap: float,
     radii=None,
-) -> MaximalFunctionGrid:
-    """Restricted local maximal function of |samples| on the grid.
+) -> np.ndarray:
+    """Restricted local maximal function M_R of |samples| on the grid.
+
+    The sup over radii runs over ``radii`` (default ``dyadic_radii``) plus
+    the degenerate single-point ball, which realizes the r -> 0 limit, so
+    M f >= |f| pointwise.  Balls that leave the sampled domain are averaged
+    over in-domain points only.
 
     Every dimension takes one path.  |samples| and a point count of 1 are
     embedded in the ``(2m + 1)^d`` box of the grid, with prefix sums along
@@ -1142,54 +1129,7 @@ def maximal_function(
             total[every + dst] += rows[every + src]
         sums, counts = total[every + grid.box_index()]
         values = np.maximum(values, sums / counts)
-    return MaximalFunctionGrid(grid, float(radius_cap), radii, values)
-
-
-def weak_type_check(
-    grid: PointGrid,
-    samples: np.ndarray,
-    region_radius: float,
-    radius_cap: float,
-    alphas,
-    metadata: dict | None = None,
-) -> EstimateReport:
-    """Measure the weak-type superlevel bound of M_lambda on |samples|.
-
-    For each threshold alpha, records the superlevel measure inside
-    B(region_radius) and the ratio  measure * alpha / integral |f|; the
-    report's measured constant is the sup of those ratios.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(alphas <= 0.0):
-        raise FieldError("thresholds must be positive")
-    if grid.radius < region_radius + radius_cap - MEMBERSHIP_SLACK:
-        raise FieldError("grid must cover B(region_radius + radius_cap)")
-    mf = maximal_function(grid, samples, radius_cap)
-    inside = grid.ball_mask(region_radius)
-    integral = grid_integral(grid, np.abs(samples))
-    cell = grid.cell_volume
-    measures = np.array(
-        [(mf.values[inside] > a).sum() * cell for a in alphas]
-    )
-    if integral > 0.0:
-        ratios = measures * alphas / integral
-        c_measured = float(ratios.max())
-    else:
-        ratios = np.zeros_like(alphas)
-        c_measured = 0.0
-    lhs = float(np.max(measures * alphas))
-    rhs = c_measured * integral
-    constants = {
-        "c_measured": c_measured,
-        "integral_abs_f": integral,
-        "alphas": alphas.tolist(),
-        "superlevel_measures": measures.tolist(),
-        "ratios": ratios.tolist(),
-        "region_radius": region_radius,
-        "radius_cap": radius_cap,
-    }
-    meta = {"h": grid.spacing, **(metadata or {})}
-    return make_report("lemma23", lhs, rhs, constants, meta, slack=1e-12)
+    return values
 
 
 # ==========================================================================
@@ -1221,7 +1161,7 @@ def calibrate_witness_constant(
     if n_pairs < 1000:
         raise CalibrationError("need at least 1e3 pairs")
     grad_samples = np.abs(np.asarray(grad_samples, dtype=np.float64))
-    mf = maximal_function(grid, grad_samples, 2.0 * grid.radius)
+    m_grad = maximal_function(grid, grad_samples, 2.0 * grid.radius)
     rng = np.random.default_rng(seed)
     half = n_pairs // 2
     ia_u = rng.integers(0, grid.n_points, half)
@@ -1243,7 +1183,7 @@ def calibrate_witness_constant(
         np.sum((field(0.0, xa) - field(0.0, xb)) ** 2, axis=1)
     )
     dist = np.sqrt(np.sum((xa - xb) ** 2, axis=1))
-    den = dist * (mf.values[ia] + mf.values[ib])
+    den = dist * (m_grad[ia] + m_grad[ib])
     ratios = np.zeros_like(num)
     positive = num > 0.0
     usable = positive & (den > 0.0)
@@ -1253,7 +1193,7 @@ def calibrate_witness_constant(
         raise CalibrationError("all sampled pairs were skipped")
     c_hat = float(ratios.max()) if len(ratios) else 0.0
 
-    witness = _maximal_witness(mf, c_hat * WITNESS_HEADROOM, grad_fn)
+    witness = _maximal_witness(grid, m_grad, c_hat * WITNESS_HEADROOM, grad_fn)
     enriched = replace(
         field,
         witness=witness,
@@ -1282,7 +1222,7 @@ def _near_pairs(grid: PointGrid, n: int, rng):
     return ia[on_grid], ib[on_grid]
 
 
-def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn):
+def _maximal_witness(grid: PointGrid, m_grad: np.ndarray, scale, grad_fn):
     """Witness g = scale * M|grad b|, nearest-grid inside the sampled ball.
 
     Outside the sampled ball the witness falls back to ``scale * |grad b|``
@@ -1290,9 +1230,8 @@ def _maximal_witness(mf: MaximalFunctionGrid, scale, grad_fn):
     function, hence conservative in right sides), else to the nearest
     in-domain grid value.
     """
-    grid = mf.grid
     m = grid.half_width
-    box = grid.embed(mf.values)
+    box = grid.embed(m_grad)
 
     def nearest(pts):
         ii = np.clip(np.rint(pts / grid.spacing).astype(np.int64), -m, m)

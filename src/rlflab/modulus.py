@@ -1,19 +1,18 @@
 """Moduli of continuity and the separation functional built from them.
 
 A modulus ``rho`` is a strictly increasing continuous function with
-``rho(0) = 0``.  The catalog holds four kinds:
+``rho(0) = 0``.  The catalog holds three kinds, ``NAMED_KINDS``:
 
 * ``linear``      rho(s) = s
 * ``log``         rho(s) = s log(1/s) on [0, e^-2], s + e^-2 beyond
 * ``loglog``      rho(s) = s log(1/s) loglog(1/s) on [0, e^-e], with a C1
-                  linear continuation beyond the breakpoint
-* ``custom-table`` piecewise-linear interpolation of user sample points
+                  linear continuation beyond e^-e
 
 The ``log`` and ``loglog`` formulas only make sense on a small interval, so
-each is extended past its natural breakpoint; the ``log`` extension is
-continuously differentiable there (left slope log(1/c0) - 1 = 1 equals the
-right slope 1 at c0 = e^-2), and the ``loglog`` extension continues with the
-left slope e - 2.
+each is extended linearly past its end (``LOG_BREAK``, ``LOGLOG_BREAK``);
+the ``log`` extension is continuously differentiable there (left slope
+log(1/c0) - 1 = 1 equals the right slope 1 at c0 = e^-2), and the
+``loglog`` extension continues with the left slope e - 2.
 
 The functional
 
@@ -28,7 +27,7 @@ log(xi/delta + 1) with inverse delta (e^t - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +49,13 @@ __all__ = [
     "check_osgood",
 ]
 
-# the kinds ``make_modulus`` builds from their name alone, the ones a config
-# or ``rlf-lab psi`` can name; ``custom-table`` also needs sample points
+# the kinds ``make_modulus`` builds, the ones a config or ``rlf-lab psi`` can
+# name
 NAMED_KINDS = ("linear", "log", "loglog")
-MODULUS_KINDS = NAMED_KINDS + ("custom-table",)
 
 LOG_BREAK = math.exp(-2.0)  # e^-2
 LOGLOG_BREAK = math.exp(-math.e)  # e^-e
-_LOGLOG_VALUE = LOGLOG_BREAK * math.e  # rho value at the loglog breakpoint
+_LOGLOG_VALUE = LOGLOG_BREAK * math.e  # rho value at LOGLOG_BREAK
 _LOGLOG_SLOPE = math.e - 2.0  # left derivative there
 
 
@@ -67,30 +65,13 @@ class ModulusError(Exception):
 
 @dataclass(frozen=True)
 class ModulusOfContinuity:
-    """A modulus rho with its domain-extension breakpoint.
-
-    ``breakpoint`` is the point past which the closed-form branch is replaced
-    by its linear continuation (None for kinds defined on all of [0, inf)).
-    Custom tables carry their sample abscissas/values; beyond the last sample
-    the interpolant continues with the final segment slope.
-    """
+    """A modulus rho, one of ``NAMED_KINDS``."""
 
     kind: str
-    breakpoint: float | None = None
-    table_s: np.ndarray | None = field(default=None, repr=False)
-    table_v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in MODULUS_KINDS:
+        if self.kind not in NAMED_KINDS:
             raise ModulusError(f"unknown modulus kind {self.kind!r}")
-        if self.kind == "custom-table":
-            s, v = self.table_s, self.table_v
-            if s is None or v is None or len(s) != len(v) or len(s) < 2:
-                raise ModulusError("custom-table needs matching sample arrays")
-            if s[0] != 0.0 or v[0] != 0.0:
-                raise ModulusError("custom-table must start at rho(0) = 0")
-            if np.any(np.diff(s) <= 0) or np.any(np.diff(v) <= 0):
-                raise ModulusError("custom-table samples must be increasing")
 
     def __call__(self, s):
         return eval_rho(self, s)
@@ -102,41 +83,21 @@ class ModulusOfContinuity:
         kind = self.kind
         if kind == "linear":
             return s
+        if s == 0.0:
+            return 0.0
         if kind == "log":
-            if s == 0.0:
-                return 0.0
             if s <= LOG_BREAK:
                 return s * math.log(1.0 / s)
             return s + LOG_BREAK
-        if kind == "loglog":
-            if s == 0.0:
-                return 0.0
-            if s <= LOGLOG_BREAK:
-                lg = math.log(1.0 / s)
-                return s * lg * math.log(lg)
-            return _LOGLOG_VALUE + _LOGLOG_SLOPE * (s - LOGLOG_BREAK)
-        return float(eval_rho(self, s))
+        if s <= LOGLOG_BREAK:
+            lg = math.log(1.0 / s)
+            return s * lg * math.log(lg)
+        return _LOGLOG_VALUE + _LOGLOG_SLOPE * (s - LOGLOG_BREAK)
 
 
-def make_modulus(kind: str, table=None) -> ModulusOfContinuity:
-    """Catalog factory; ``table`` is a (s, v) pair for ``custom-table``."""
-    if kind == "linear":
-        return ModulusOfContinuity("linear", None)
-    if kind == "log":
-        return ModulusOfContinuity("log", LOG_BREAK)
-    if kind == "loglog":
-        return ModulusOfContinuity("loglog", LOGLOG_BREAK)
-    if kind == "custom-table":
-        if table is None:
-            raise ModulusError("custom-table requires sample points")
-        s, v = table
-        return ModulusOfContinuity(
-            "custom-table",
-            None,
-            np.asarray(s, dtype=np.float64),
-            np.asarray(v, dtype=np.float64),
-        )
-    raise ModulusError(f"unknown modulus kind {kind!r}")
+def make_modulus(kind: str) -> ModulusOfContinuity:
+    """Catalog factory."""
+    return ModulusOfContinuity(kind)
 
 
 def eval_rho(modulus: ModulusOfContinuity, s):
@@ -156,20 +117,13 @@ def eval_rho(modulus: ModulusOfContinuity, s):
         xs = np.where(x[low] > 0.0, x[low], 1.0)
         out[low] = np.where(x[low] > 0.0, xs * np.log(1.0 / xs), 0.0)
         out[~low] = x[~low] + LOG_BREAK
-    elif kind == "loglog":
+    else:  # loglog
         out = np.empty_like(x)
         low = x <= LOGLOG_BREAK
         xs = np.where(x[low] > 0.0, x[low], 0.5 * LOGLOG_BREAK)
         lg = np.log(1.0 / xs)
         out[low] = np.where(x[low] > 0.0, xs * lg * np.log(lg), 0.0)
         out[~low] = _LOGLOG_VALUE + _LOGLOG_SLOPE * (x[~low] - LOGLOG_BREAK)
-    else:  # custom-table, linear continuation past the last sample
-        ts, tv = modulus.table_s, modulus.table_v
-        out = np.interp(x, ts, tv)
-        beyond = x > ts[-1]
-        if beyond.any():
-            slope = (tv[-1] - tv[-2]) / (ts[-1] - ts[-2])
-            out[beyond] = tv[-1] + slope * (x[beyond] - ts[-1])
     return float(out[0]) if scalar else out
 
 
@@ -184,6 +138,12 @@ _FINE_STEP = 2e-6
 _COARSE_STEP = 1e-4
 # smallest delta whose bulk values meet atol 2e-5, rtol 2e-6 against psi
 BULK_DELTA_FLOOR = 1e-3
+# smallest decade delta whose adaptive values meet rtol 1e-8 for every kind
+# at xi from 1e-3 to 100, against log(xi/delta + 1) (linear) and 30-digit
+# mpmath quadrature (log, loglog); below it the bisection's width floor
+# leaves the peak 1/delta of the integrand unresolved, and log at xi = 100
+# already misses by 4e-8 at delta = 1e-11
+PSI_DELTA_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -215,7 +175,12 @@ class PsiFunctional:
         return 1.0 / (self.modulus.scalar(s) + self.delta)
 
     def psi(self, xi: float) -> float:
-        """Adaptive evaluation of psi_delta at a single point."""
+        """Adaptive evaluation of psi_delta at a single point.  Raises
+        :class:`ModulusError` for delta below ``PSI_DELTA_FLOOR``."""
+        if self.delta < PSI_DELTA_FLOOR:
+            raise ModulusError(
+                f"psi needs delta >= {PSI_DELTA_FLOOR}, got {self.delta}"
+            )
         if xi < 0.0:
             raise ModulusError("psi is only defined for xi >= 0")
         if xi == 0.0:
@@ -334,30 +299,32 @@ class PsiFunctional:
 # --------------------------------------------------------------------------
 
 
+# heuristic divergence verdict: "osgood" when the last tail integral
+# exceeds the first by this factor
+OSGOOD_GROWTH = 3.0
+OSGOOD_QUAD_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OsgoodTable:
     """Tail integrals of 1/rho and the heuristic divergence verdict.
 
     The table itself is the primary output; the verdict is a heuristic
     (true divergence is not decidable numerically): "osgood" when the last
-    integral exceeds the first by ``growth_factor``.
+    integral exceeds the first by ``OSGOOD_GROWTH``.
     """
 
     eps: np.ndarray
     values: np.ndarray
     cutoff: float
-    growth_factor: float
     verdict: str
 
 
-def check_osgood(
-    modulus: ModulusOfContinuity,
-    eps_list,
-    cutoff: float,
-    growth_factor: float = 3.0,
-    quad_tol: float = 1e-10,
-) -> OsgoodTable:
-    """Tabulate integral_eps^cutoff ds/rho(s) over a decreasing eps list."""
+def check_osgood(rho, eps_list, cutoff: float) -> OsgoodTable:
+    """Tabulate integral_eps^cutoff ds/rho(s) over a decreasing eps list.
+
+    ``rho`` is any callable s -> float, a ``ModulusOfContinuity`` included.
+    """
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or len(eps) < 2:
         raise ModulusError("need at least two eps values")
@@ -367,11 +334,11 @@ def check_osgood(
         raise ModulusError("all eps must lie in (0, cutoff)")
 
     def inv_rho(s: float) -> float:
-        return 1.0 / modulus.scalar(s)
+        return 1.0 / rho(s)
 
     values = np.array(
-        [integrate_1d(inv_rho, e, cutoff, quad_tol).value for e in eps]
+        [integrate_1d(inv_rho, e, cutoff, OSGOOD_QUAD_TOL).value for e in eps]
     )
     ratio = values[-1] / values[0]
-    verdict = "osgood" if ratio >= growth_factor else "non-osgood"
-    return OsgoodTable(eps, values, float(cutoff), float(growth_factor), verdict)
+    verdict = "osgood" if ratio >= OSGOOD_GROWTH else "non-osgood"
+    return OsgoodTable(eps, values, float(cutoff), verdict)

@@ -205,6 +205,15 @@ class TestRunExperiment:
         assert err.startswith("error: ModulusError: bulk psi needs delta")
         assert len(err.strip().splitlines()) == 1
 
+    def test_delta_below_psi_floor_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, FAST_CONSTANT + "deltas = 1e-20\n")
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ModulusError: psi needs delta >= ")
+
     def test_failed_allocation_exits_two(self, tmp_path, monkeypatch, capsys):
         empty = np.empty
 
@@ -478,6 +487,14 @@ class TestSubcommands:
     def test_psi_rejects_bad_delta(self, capsys):
         assert main(["psi", "--modulus", "log", "--delta", "0",
                      "--xi", "1.0"]) == 2
+
+    def test_psi_below_floor_exits_two(self, capsys):
+        argv = ["psi", "--modulus", "linear", "--delta", "1e-300", "--xi", "0.05"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "ModulusError" in captured.err
 
     def test_bad_usage_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2

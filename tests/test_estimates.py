@@ -18,6 +18,7 @@ from rlflab.estimates import (
     stability_report,
     translation_constants,
     translation_functional,
+    weak_type_check,
 )
 from rlflab.fields import MollifierKernel, catalog_field, dyadic_radii, mollify
 from rlflab.flow import integrate_ensemble
@@ -110,9 +111,23 @@ class TestCauchy:
         base = catalog_field("constant", 1, value=1.0)
         fields = [f for f, _ in entries]
         ens = [e for _, e in entries]
-        table, reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
-        assert np.all(table.distances == 0.0)
+        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        assert all(r.lhs == 0.0 for r in reports)
         assert all(r.passed for r in reports)
+
+    def test_coinciding_levels_floor_delta(self):
+        # b^n = b^m gives delta_{n,m} = 0, which psi takes as 1e-6
+        _, entries = _const_ensembles([1.0, 1.0, 1.0], level=4)
+        base = catalog_field("constant", 1, value=1.0)
+        fields = [f for f, _ in entries]
+        ens = [e for _, e in entries]
+        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        assert len(reports) == 3
+        for r in reports:
+            assert r.constants["delta_nm"] == 0.0
+            assert r.constants["psi_delta_eta"] == pytest.approx(
+                math.log(0.05 / 1e-6 + 1.0), rel=1e-10
+            )
 
     def test_offset_constants_closed_form(self):
         # fields v_n = 1/n: sup distance is T |1/n - 1/m| at every point
@@ -121,12 +136,13 @@ class TestCauchy:
         base = catalog_field("constant", 1, value=values[0])
         fields = [f for f, _ in entries]
         ens = [e for _, e in entries]
-        table, reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
         measure = grid_integral(grid, np.ones(grid.n_points))
-        for (n, m), d_nm in zip(table.pairs, table.distances):
-            vn = values[table.levels.index(n)]
-            vm = values[table.levels.index(m)]
-            assert d_nm == pytest.approx(measure * abs(vn - vm), rel=1e-9)
+        levels = [f.mollification_level for f in fields]
+        for r in reports:
+            vn = values[levels.index(r.metadata["n"])]
+            vm = values[levels.index(r.metadata["m"])]
+            assert r.lhs == pytest.approx(measure * abs(vn - vm), rel=1e-9)
         assert all(r.passed for r in reports)
 
     def test_needs_three_levels(self, osgood, moll, ens_b1):
@@ -512,6 +528,14 @@ class TestOffsetSweep:
         assert reg.size == 81  # every lattice point of B(5 h)
         assert reg.threshold == 1.0
         assert rep.passed
+
+
+class TestWeakType:
+    def test_nan_samples_raise_estimate_error(self):
+        grid = make_grid(1, 2.0, 0.05)
+        samples = np.full(grid.n_points, np.nan)
+        with pytest.raises(EstimateError, match="lemma23"):
+            weak_type_check(grid, samples, 1.0, 1.0, [0.5])
 
 
 class TestPsiChainOnFlow:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rlflab.estimates import weak_type_check
 from rlflab.fields import (
     SERIES_DIRECT_TERMS,
     SERIES_TAIL_STEP,
@@ -21,12 +22,12 @@ from rlflab.fields import (
     calibrate_witness_constant,
     catalog_field,
     divergence_negative_part,
+    dyadic_radii,
     maximal_function,
     measure_osgood_constant,
     mollify,
     series_deriv_direct,
     series_direct,
-    weak_type_check,
 )
 from rlflab.modulus import eval_rho, make_modulus
 from rlflab.numerics import ball_average, grid_integral, make_grid
@@ -409,19 +410,19 @@ class TestMaximal:
     def test_constant_five(self):
         grid = make_grid(1, 2.0, 0.05)
         mf = maximal_function(grid, np.full(grid.n_points, 5.0), 1.0)
-        np.testing.assert_allclose(mf.values, 5.0, atol=1e-12)
+        np.testing.assert_allclose(mf, 5.0, atol=1e-12)
 
     def test_zero(self):
         grid = make_grid(1, 2.0, 0.05)
         mf = maximal_function(grid, np.zeros(grid.n_points), 1.0)
-        assert np.all(mf.values == 0.0)
+        assert np.all(mf == 0.0)
 
     def test_dominates_pointwise(self):
         grid = make_grid(1, 2.0, 0.05)
         rng = np.random.default_rng(0)
         f = rng.uniform(-1.0, 1.0, grid.n_points)
         mf = maximal_function(grid, f, 1.0)
-        assert np.all(mf.values >= np.abs(f) - 1e-15)
+        assert np.all(mf >= np.abs(f) - 1e-15)
 
     def test_indicator_vs_bruteforce(self):
         # f = indicator of [-1, 1] on a grid over B(6), cap 4, at x = 2
@@ -432,17 +433,17 @@ class TestMaximal:
         target = int(np.argmin(np.abs(x - 2.0)))
         # brute force over the same dyadic radii, by direct masking
         best = f[target]
-        for r in mf.radii:
+        for r in dyadic_radii(4.0, grid.spacing):
             mask = np.abs(x - x[target]) <= r * (1.0 + 1e-12)
             best = max(best, f[mask].mean())
-        assert mf.values[target] == pytest.approx(best, abs=1e-12)
+        assert mf[target] == pytest.approx(best, abs=1e-12)
         # at radius 4 the overlap is 2 over diameter 8
-        assert mf.values[target] >= 0.25 - 0.02
+        assert mf[target] >= 0.25 - 0.02
 
     def test_2d_constant_and_domination(self):
         grid = make_grid(2, 1.0, 0.1)
         mf = maximal_function(grid, np.full(grid.n_points, 2.0), 0.5)
-        np.testing.assert_allclose(mf.values, 2.0, atol=1e-12)
+        np.testing.assert_allclose(mf, 2.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "dimension, radius, cap",
@@ -461,13 +462,13 @@ class TestMaximal:
         # numerics; caps of 2 and 2.5 grid radii give balls wider than the box
         grid = make_grid(dimension, radius, 0.1)
         f = np.random.default_rng(dimension).uniform(-1.0, 1.0, grid.n_points)
-        radii = maximal_function(grid, f, cap).radii
+        radii = dyadic_radii(cap, grid.spacing)
         assert radii.max() == cap and len(radii) >= 3
         for r in radii:
             mf = maximal_function(grid, f, cap, radii=[r])
             avg = [ball_average(grid, np.abs(f), x, r) for x in grid.points]
             np.testing.assert_allclose(
-                mf.values, np.maximum(np.abs(f), avg), rtol=1e-13, atol=0.0
+                mf, np.maximum(np.abs(f), avg), rtol=1e-13, atol=0.0
             )
 
     def test_radii_validation(self):
@@ -490,7 +491,7 @@ class TestWeakType:
         rep = weak_type_check(grid, f, 2.0, 2.0, [0.5])
         mf = maximal_function(grid, f, 2.0)
         inside = np.abs(x) <= 2.0 + 1e-12
-        brute = float((mf.values[inside] > 0.5).sum()) * grid.cell_volume
+        brute = float((mf[inside] > 0.5).sum()) * grid.cell_volume
         assert rep.constants["superlevel_measures"][0] == pytest.approx(brute)
         assert rep.constants["integral_abs_f"] == pytest.approx(2.0, rel=1e-2)
 

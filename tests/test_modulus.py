@@ -7,6 +7,7 @@ from rlflab.modulus import (
     BULK_DELTA_FLOOR,
     LOG_BREAK,
     LOGLOG_BREAK,
+    PSI_DELTA_FLOOR,
     ModulusError,
     PsiFunctional,
     check_osgood,
@@ -72,16 +73,6 @@ class TestRho:
         with pytest.raises(ModulusError):
             eval_rho(LOG, -0.1)
 
-    def test_custom_table(self):
-        s = np.linspace(0.0, 1.0, 101)
-        mod = make_modulus("custom-table", table=(s, np.sqrt(s)))
-        assert eval_rho(mod, 0.25) == pytest.approx(0.5, abs=1e-2)
-        assert eval_rho(mod, 0.0) == 0.0
-
-    def test_custom_table_validation(self):
-        with pytest.raises(ModulusError):
-            make_modulus("custom-table", table=([0.1, 0.2], [0.1, 0.2]))
-
 
 class TestPsi:
     def test_linear_closed_form(self):
@@ -90,6 +81,15 @@ class TestPsi:
 
     def test_zero(self):
         assert PsiFunctional(LOG, 1e-3).psi(0.0) == 0.0
+
+    def test_delta_floor(self):
+        # at the floor psi meets the closed form; below it, it raises
+        for xi in (1e-3, 0.05, 100.0):
+            val = PsiFunctional(LIN, PSI_DELTA_FLOOR).psi(xi)
+            exact = math.log(xi / PSI_DELTA_FLOOR + 1.0)
+            assert val == pytest.approx(exact, rel=1e-10)
+        with pytest.raises(ModulusError, match="psi needs delta"):
+            PsiFunctional(LIN, 1e-20).psi(0.05)
 
     def test_log_vs_trapezoid_oracle(self):
         delta = 1e-3
@@ -290,26 +290,24 @@ def test_one_index_path_equals_two_branches(monkeypatch, mod, delta):
 class TestOsgoodDiagnostic:
     def test_linear_verdict(self):
         eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(LIN, eps, 1.0)
+        table = check_osgood(LIN.scalar, eps, 1.0)
         np.testing.assert_allclose(
             table.values, [k * np.log(10.0) for k in range(1, 7)], rtol=1e-8
         )
         assert table.verdict == "osgood"
 
     def test_sqrt_table_non_osgood(self):
-        # integrable singularity: integral of s^-1/2 stays bounded (= 2)
-        s = np.linspace(0.0, 1.0, 2001)
-        mod = make_modulus("custom-table", table=(s, np.sqrt(s)))
+        # integrable singularity: integral of s^-1/2 stays bounded (< 2)
         eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(mod, eps, 1.0)
+        table = check_osgood(math.sqrt, eps, 1.0)
         assert table.verdict == "non-osgood"
-        assert table.values[-1] < 3.0  # oracle: 2 (1 - sqrt(eps)) < 2, plus
-        # the sub-sample linear continuation adds a slowly growing remainder
+        oracle = 2.0 * (1.0 - np.sqrt(table.eps))
+        np.testing.assert_allclose(table.values, oracle, rtol=1e-10)
 
     def test_log_verdict_and_loglog_growth(self):
         # six decades below the breakpoint cutoff (0.1 < e^-2)
         eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(LOG, eps, LOG_BREAK)
+        table = check_osgood(LOG.scalar, eps, LOG_BREAK)
         assert table.verdict == "osgood"
         # oracle: integral of 1/(s log(1/s)) from eps to e^-2 is
         # loglog(1/eps) - log 2
