@@ -9,6 +9,11 @@ Six families of checks, each emitting :class:`EstimateReport`:
 * ``thm44``   the translation estimate with its vanishing g(r) table
 * ``lemma23`` the weak-type superlevel bound of the local maximal function
 
+``regularity_set`` returns the rows of E and its thm41 report, whose
+constants carry the threshold, deficit, epsilon, lens, C_bar, C_d and the
+size of E; ``cauchy_diagnostic`` returns its reports.  A witness enters every
+right side only through its values and its L1 norm, ``witness_l1_norm``.
+
 Verdicts use multiplicative slack (default 5%) plus a declared additive
 budget assembled from the discretization parameters (grid spacing, series
 truncation, integrator step).  The right sides are computed from recorded
@@ -26,7 +31,6 @@ import numpy as np
 from . import fields
 from .fields import (
     VectorField,
-    WitnessFunction,
     compressibility_constant,
     dyadic_radii,
     measured_once,
@@ -46,10 +50,9 @@ from .reporting import EstimateReport, make_report
 
 __all__ = [
     "EstimateError",
-    "RegularitySet",
     "TranslationConstants",
-    "lens_constant",
     "field_l1_distance",
+    "witness_l1_norm",
     "stability_report",
     "cauchy_diagnostic",
     "regularity_Q",
@@ -109,15 +112,18 @@ def _metadata(ensemble: TrajectoryEnsemble, field=None, n=None, m="") -> dict:
     }
 
 
-def lens_constant(dimension: int) -> float:
-    if dimension not in LENS_CONSTANT:
-        raise EstimateError("lens constant known for d = 1, 2, 3 only")
-    return LENS_CONSTANT[dimension]
-
-
 # --------------------------------------------------------------------------
 # shared helpers
 # --------------------------------------------------------------------------
+
+
+def _l1_in_time(norm_at, times, grid: PointGrid) -> float:
+    """L1 norm over [t0, t1] x grid ball of the pointwise values
+    ``norm_at(t, grid.points)``: the time span times the Riemann sum at t0
+    (catalog fields do not depend on t)."""
+    times = np.asarray(times, dtype=np.float64)
+    space = grid_integral(grid, norm_at(times[0], grid.points))
+    return float((times[-1] - times[0]) * space)
 
 
 def field_l1_distance(
@@ -126,12 +132,19 @@ def field_l1_distance(
     times: np.ndarray,
     grid: PointGrid,
 ) -> float:
-    """||b - b~||_L1([t0, t1] x grid ball): the time span times the Riemann
-    sum at t0 (catalog fields do not depend on t)."""
-    times = np.asarray(times, dtype=np.float64)
-    diff = fa(times[0], grid.points) - fb(times[0], grid.points)
-    space = grid_integral(grid, np.sqrt(np.sum(diff * diff, axis=1)))
-    return float((times[-1] - times[0]) * space)
+    """||b - b~||_L1([t0, t1] x grid ball)."""
+
+    def gap(t, pts):
+        diff = fa(t, pts) - fb(t, pts)
+        return np.sqrt(np.sum(diff * diff, axis=1))
+
+    return _l1_in_time(gap, times, grid)
+
+
+def witness_l1_norm(field: VectorField, times, grid: PointGrid) -> float:
+    """||g||_L1([t0, t1] x grid ball) of ``field``'s witness g."""
+    witness = _require_witness(field)
+    return _l1_in_time(lambda t, pts: np.abs(witness(t, pts)), times, grid)
 
 
 def _field_distance(fa, fb, times, grid: PointGrid) -> float:
@@ -147,18 +160,17 @@ def _field_distance(fa, fb, times, grid: PointGrid) -> float:
 
 
 def _witness_norm(field: VectorField, times, grid: PointGrid) -> float:
-    """The L1 norm of ``field``'s witness over [times] x grid, measured once
-    per field, grid and time span and kept on the field."""
-    witness = _require_witness(field)
+    """``witness_l1_norm``, measured once per field, grid and time span and
+    kept on the field."""
     return measured_once(
         field,
         ("witness_l1", float(times[0]), float(times[-1])),
         grid,
-        lambda: witness.l1_norm(times, grid),
+        lambda: witness_l1_norm(field, times, grid),
     )
 
 
-def _require_witness(field: VectorField) -> WitnessFunction:
+def _require_witness(field: VectorField):
     if field.witness is None:
         raise EstimateError(f"field {field.catalog_id!r} carries no witness")
     return field.witness
@@ -476,24 +488,6 @@ def _live_radii(ensemble: TrajectoryEnsemble, radii, threshold: float):
     return radii[~(bound * (1.0 + 1e-9) <= threshold)]
 
 
-@dataclass(frozen=True)
-class RegularitySet:
-    """The grid subset E where the regularity functional stays small."""
-
-    point_indices: np.ndarray
-    threshold: float
-    deficit: float
-    epsilon: float
-    lens: float
-    c_bar: float
-    c_d_measured: float
-    phi: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(len(self.point_indices))
-
-
 def regularity_set(
     ensemble: TrajectoryEnsemble,
     field: VectorField,
@@ -504,7 +498,8 @@ def regularity_set(
     seed: int = 20260809,
     slack: float = DEFAULT_SLACK,
 ):
-    """Regularity set E and its uniform continuity bound.
+    """The rows of the regularity set E, and its uniform continuity bound as
+    a thm41 report.
 
     ``field`` is the rough field b whose witness g, modulus, sup bound and
     divergence the theorem states; ``ensemble`` is a mollified level's flow.
@@ -515,9 +510,9 @@ def regularity_set(
     threshold = max(C_bar/eps, 1) (the functional starts at Q(0) <= 1, so
     thresholds below 1 are degenerate), and verifies the pairwise bound
     |X_t(x) - X_t(y)| <= psi^{-1}_{|x-y|}(2 lens threshold) on sampled pairs
-    of E at every mesh time.  Returns the set and a thm41 report whose LHS
-    is the worst distance/bound ratio (0 when the bound exceeds the largest
-    attainable separation, which it typically does at desk scale).
+    of E at every mesh time.  Returns the grid rows of E and a thm41 report
+    whose LHS is the worst distance/bound ratio (0 when the bound exceeds the
+    largest attainable separation, which it typically does at desk scale).
 
     E is decided in two steps.  The displacement bound of ``_live_radii``
     caps Q at each dyadic radius from D = max |X_t(x) - x| alone; a radius
@@ -578,7 +573,7 @@ def regularity_set(
     e_rows = rows[member]
     deficit = float((len(rows) - len(e_rows)) * grid.cell_volume)
 
-    lens = lens_constant(d)
+    lens = LENS_CONSTANT[d]
     target = 2.0 * lens * threshold
     xi_cap = 2.0 * ensemble.growth_radius() + 1.0
 
@@ -615,9 +610,6 @@ def regularity_set(
         if (max_dist > xi_cap).any():
             raise EstimateError("separation exceeded the growth cap")
 
-    reg = RegularitySet(
-        e_rows, threshold, deficit, float(epsilon), lens, c_bar, c_d, phi
-    )
     deficit_ok = deficit <= epsilon * (1.0 + slack)
     lhs = worst if deficit_ok else max(worst, 1.0 + slack + 1.0)
     constants = {
@@ -637,7 +629,7 @@ def regularity_set(
     report = _report(
         "thm41", lhs, 1.0, constants, _metadata(ensemble, field), slack=slack
     )
-    return reg, report
+    return e_rows, report
 
 
 # --------------------------------------------------------------------------

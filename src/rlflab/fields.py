@@ -18,10 +18,13 @@ A witness g certifies the hybrid continuity bound
 
     |b_t(x) - b_t(y)| <= (g_t(x) + g_t(y)) rho(|x - y|)
 
-off declared singular zones.  Measured witness constants are inflated by a
-small headroom factor (1.5%) so that the certificate also covers pairs that
-the finite calibration sample missed; the raw measured constants are returned
-unmodified and recorded in reports.
+off declared singular zones.  A witness is a plain function
+``g(t, pts (n, d)) -> (n,)``: the estimates read it only through its values
+and its L1 norm (``estimates.witness_l1_norm``).  Measured witness constants
+are inflated by a small headroom factor (1.5%) so that the certificate also
+covers pairs that the finite calibration sample missed; the raw measured
+constants are kept unmodified in the field's ``params`` (``c2_measured``,
+``witness_constant``).
 
 Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
@@ -60,7 +63,7 @@ import functools
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +72,6 @@ from .numerics import (
     GridError,
     MEMBERSHIP_SLACK,
     PointGrid,
-    grid_integral,
     integrate_1d,
     make_grid,
     row_blocks,
@@ -79,7 +81,6 @@ from .numerics import (
 __all__ = [
     "FieldError",
     "CalibrationError",
-    "WitnessFunction",
     "MollifierKernel",
     "VectorField",
     "CATALOG",
@@ -357,30 +358,7 @@ def measure_osgood_constant(terms: int) -> float:
 # ==========================================================================
 
 
-@dataclass(frozen=True)
-class WitnessFunction:
-    """Nonnegative integrable function certifying the continuity bound.
-
-    ``provenance`` is one of analytic-constant, maximal-function-based,
-    mollified, calibrated.
-    """
-
-    evaluator: object  # (t, pts (n, d)) -> (n,)
-    provenance: str
-
-    def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.evaluator(t, np.asarray(pts, dtype=np.float64)))
-        return vals
-
-    def l1_norm(self, times: np.ndarray, grid: PointGrid) -> float:
-        """L1 norm over [times] x grid: time span times the Riemann sum at
-        the first time (catalog witnesses do not depend on t)."""
-        times = np.asarray(times, dtype=np.float64)
-        space = grid_integral(grid, np.abs(self(times[0], grid.points)))
-        return float((times[-1] - times[0]) * space)
-
-
-def constant_witness(value: float) -> WitnessFunction:
+def constant_witness(value: float):
     value = float(value)
     if value < 0.0:
         raise FieldError("witness must be nonnegative")
@@ -388,7 +366,7 @@ def constant_witness(value: float) -> WitnessFunction:
     def ev(t, pts):
         return np.full(pts.shape[0], value)
 
-    return WitnessFunction(ev, "analytic-constant")
+    return ev
 
 
 # ==========================================================================
@@ -484,9 +462,6 @@ class MollifierKernel:
         weights = self.density(nodes, dimension) * cell
         return axis, nodes, weights
 
-    def quadrature_mass(self, dimension: int) -> float:
-        return self.nodes_weights(dimension)[2]
-
 
 # ==========================================================================
 # vector fields
@@ -498,10 +473,13 @@ class VectorField:
     """Bounded vector field with witness and divergence data.
 
     ``evaluator(t, pts)`` maps an (n, d) array of points to (n, d)
-    velocities.  ``div_evaluator`` is the catalog's analytic divergence, or,
-    on a mollified field, the central difference at ``FD_DIV_STEP`` that
-    ``mollify`` sets.  ``series`` and ``parts`` only tell ``mollify`` how to
-    convolve the field.  Catalog fields do not depend on t, but every
+    velocities, and ``witness(t, pts)`` to (n,) witness values.
+    ``sup_bound`` must be finite.  ``div_evaluator`` is the catalog's
+    analytic divergence, or, on a mollified field, the central difference at
+    ``FD_DIV_STEP`` that ``mollify`` sets.  ``series`` and ``parts`` only
+    tell ``mollify`` how to convolve the field.  ``params`` holds the series
+    truncation ``terms`` (report metadata K and the truncation budget) and
+    the measured constants.  Catalog fields do not depend on t, but every
     interface carries it.
     """
 
@@ -510,7 +488,7 @@ class VectorField:
     params: dict
     sup_bound: float
     evaluator: object
-    witness: WitnessFunction | None = None
+    witness: object | None = None
     modulus: ModulusOfContinuity | None = None
     div_evaluator: object | None = None
     mollification_level: int | None = None
@@ -523,6 +501,11 @@ class VectorField:
     parts: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.sup_bound):
+            raise FieldError(
+                f"{self.catalog_id} sup bound must be finite, "
+                f"got {self.sup_bound}"
+            )
         # (key, other field, grid, value) entries of measured_once; a
         # value-idempotent cache
         object.__setattr__(self, "_measured", [])
@@ -589,11 +572,13 @@ def _make_constant(dimension, value=1.0):
     def div(t, pts):
         return np.zeros(pts.shape[0])
 
+    with np.errstate(over="ignore"):  # an infinite bound is refused below
+        sup_bound = float(np.sqrt(np.sum(v * v)))
     return VectorField(
         dimension,
         "constant",
-        {"value": v.tolist()},
-        float(np.sqrt(np.sum(v * v))),
+        {},
+        sup_bound,
         ev,
         witness=constant_witness(0.0),
         modulus=make_modulus("linear"),
@@ -641,12 +626,7 @@ def _make_linear(dimension, slope=-1.0):
     return VectorField(
         dimension,
         "linear",
-        {
-            "slope": A.tolist(),
-            "trunc_radius": LINEAR_TRUNC_RADIUS,
-            "blend_width": LINEAR_BLEND_WIDTH,
-            "lipschitz": lipschitz,
-        },
+        {},
         sup_bound,
         ev,
         witness=constant_witness(0.5 * lipschitz),
@@ -672,7 +652,7 @@ def _make_osgood_sum(dimension, terms=1000):
     return VectorField(
         dimension,
         "osgood-sum",
-        {"terms": terms, "c2_measured": c2, "tail_bound": 1.0 / terms},
+        {"terms": terms, "c2_measured": c2},
         PI2_OVER_6,
         ev,
         witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM),
@@ -739,7 +719,7 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
     base = VectorField(
         dimension,
         "sobolev-singular",
-        {"alpha": alpha, "cap": cap, "cap_radius": r_cap},
+        {},
         cap,
         ev,
         witness=None,
@@ -748,14 +728,8 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
         singular_points=(tuple([0.0] * dimension),),
     )
     grid = make_grid(dimension, SOBOLEV_CAL_RADIUS, SOBOLEV_CAL_SPACING)
-    grad_samples = grad_fn(0.0, grid.points)
     _, calibrated = calibrate_witness_constant(
-        base,
-        grid,
-        grad_samples,
-        SOBOLEV_CAL_PAIRS,
-        seed=SOBOLEV_CAL_SEED,
-        grad_fn=grad_fn,
+        base, grid, grad_fn, SOBOLEV_CAL_PAIRS, seed=SOBOLEV_CAL_SEED
     )
     return calibrated
 
@@ -785,20 +759,13 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     def g(t, pts):
         return c2d * (1.0 + g1(t, pts))
 
-    witness = WitnessFunction(g, "calibrated")
     return VectorField(
         dimension,
         "combined",
-        {
-            "alpha": alpha,
-            "cap": cap,
-            "terms": terms,
-            "c2_measured": c2,
-            "sobolev_witness_constant": sob.params["witness_constant"],
-        },
+        {"terms": terms},
         cap + PI2_OVER_6,
         ev,
-        witness=witness,
+        witness=g,
         modulus=osc.modulus,
         div_evaluator=div,
         singular_points=sob.singular_points,
@@ -986,7 +953,9 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     witness = None
     if field.witness is not None:
         g = convolved(field.witness, 1)
-        witness = WitnessFunction(lambda t, pts: g(t, pts)[:, 0], "mollified")
+
+        def witness(t, pts):
+            return g(t, pts)[:, 0]
 
     return replace(
         field,
@@ -997,12 +966,6 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
         singular_points=(),
         series=None,
         parts=(),
-        params={
-            **field.params,
-            "kernel_level": kernel.level,
-            "kernel_nodes": KERNEL_NODES,
-            "kernel_mass": mass,
-        },
     )
 
 
@@ -1138,29 +1101,27 @@ def maximal_function(
 
 
 def calibrate_witness_constant(
-    field: VectorField,
-    grid: PointGrid,
-    grad_samples: np.ndarray,
-    n_pairs: int,
-    seed: int = 0,
-    grad_fn=None,
+    field: VectorField, grid: PointGrid, grad_fn, n_pairs: int, seed: int = 0
 ):
     """Empirical constant for the maximal-function continuity bound.
 
     Measures  max |b(x)-b(y)| / (|x-y| (M|grad b|(x) + M|grad b|(y)))  over
-    sampled grid-point pairs, excluding pairs within ``SINGULAR_EXCLUSION * h``
-    of declared singular points.  The sample mixes uniform pairs with
-    short-range pairs (offsets of a few grid cells); the ratio sup lives on
-    near-diagonal pairs, so the mixture keeps the sampled max stable across
-    seeds.  Pairs with zero difference contribute a zero ratio; pairs with
-    positive difference but zero denominator are skipped.  Returns the raw
-    constant and a copy of the field carrying the calibrated witness
+    sampled grid-point pairs, with |grad b| the function ``grad_fn(t, pts)``
+    read at t = 0 on the grid, excluding pairs within
+    ``SINGULAR_EXCLUSION * h`` of declared singular points.  The sample
+    mixes uniform pairs with short-range pairs (offsets of a few grid
+    cells); the ratio sup lives on near-diagonal pairs, so the mixture keeps
+    the sampled max stable across seeds.  Pairs with zero difference
+    contribute a zero ratio; pairs with positive difference but zero
+    denominator are skipped.  Returns the raw constant and a copy of the
+    field carrying the calibrated witness
     g = c_hat * WITNESS_HEADROOM * M|grad b|  (the headroom covers the
-    sampling density and is recorded in the field params).
+    sampling density); the raw constant is also the field's
+    ``params["witness_constant"]``.
     """
     if n_pairs < 1000:
         raise CalibrationError("need at least 1e3 pairs")
-    grad_samples = np.abs(np.asarray(grad_samples, dtype=np.float64))
+    grad_samples = np.abs(np.asarray(grad_fn(0.0, grid.points), np.float64))
     m_grad = maximal_function(grid, grad_samples, 2.0 * grid.radius)
     rng = np.random.default_rng(seed)
     half = n_pairs // 2
@@ -1197,12 +1158,7 @@ def calibrate_witness_constant(
     enriched = replace(
         field,
         witness=witness,
-        params={
-            **field.params,
-            "witness_constant": c_hat,
-            "witness_inflation": WITNESS_HEADROOM,
-            "witness_pairs": int(len(num)),
-        },
+        params={**field.params, "witness_constant": c_hat},
     )
     return c_hat, enriched
 
@@ -1226,31 +1182,21 @@ def _maximal_witness(grid: PointGrid, m_grad: np.ndarray, scale, grad_fn):
     """Witness g = scale * M|grad b|, nearest-grid inside the sampled ball.
 
     Outside the sampled ball the witness falls back to ``scale * |grad b|``
-    when an analytic gradient is available (an underestimate of the maximal
-    function, hence conservative in right sides), else to the nearest
-    in-domain grid value.
+    from the analytic gradient ``grad_fn`` (an underestimate of the maximal
+    function, hence conservative in right sides).
     """
     m = grid.half_width
     box = grid.embed(m_grad)
-
-    def nearest(pts):
-        ii = np.clip(np.rint(pts / grid.spacing).astype(np.int64), -m, m)
-        return box[grid.box_index(ii)]
 
     def ev(t, pts):
         pts = np.asarray(pts, dtype=np.float64)
         inside = grid.ball_mask(grid.radius, pts)
         out = np.zeros(pts.shape[0])
-        out[inside] = nearest(pts[inside])
+        ii = np.rint(pts[inside] / grid.spacing).astype(np.int64)
+        out[inside] = box[grid.box_index(np.clip(ii, -m, m))]
         far = ~inside
         if far.any():
-            if grad_fn is not None:
-                out[far] = np.abs(grad_fn(t, pts[far]))
-            else:
-                # clamp to the nearest in-ball lattice point radially
-                norms = np.sqrt(np.sum(pts[far] ** 2, axis=1))
-                scale_in = grid.radius / np.maximum(norms, grid.radius)
-                out[far] = nearest(pts[far] * scale_in[:, None])
+            out[far] = np.abs(grad_fn(t, pts[far]))
         return scale * out
 
-    return WitnessFunction(ev, "calibrated")
+    return ev

@@ -33,7 +33,6 @@ import numpy as np
 
 from .numerics import (
     InversionError,
-    NumericsError,
     integrate_1d,
     invert_monotone,
     row_blocks,
@@ -43,10 +42,8 @@ __all__ = [
     "ModulusError",
     "ModulusOfContinuity",
     "PsiFunctional",
-    "OsgoodTable",
     "make_modulus",
     "eval_rho",
-    "check_osgood",
 ]
 
 # the kinds ``make_modulus`` builds, the ones a config or ``rlf-lab psi`` can
@@ -144,6 +141,11 @@ BULK_DELTA_FLOOR = 1e-3
 # leaves the peak 1/delta of the integrand unresolved, and log at xi = 100
 # already misses by 4e-8 at delta = 1e-11
 PSI_DELTA_FLOOR = 1e-10
+# largest decade xi/delta at which the adaptive values stay within 2e-9
+# relative of the same oracles for every kind and delta = 1e-10, 1e-6, 1e-3
+# and 0.25; past it the bisection's width floor xi 1e-15 no longer resolves
+# the peak 1/delta near 0 (1.4e-7 at 1e13, 2.3e-3 at 1e15)
+PSI_RATIO_CEILING = 1e12
 
 
 @dataclass(frozen=True)
@@ -176,13 +178,19 @@ class PsiFunctional:
 
     def psi(self, xi: float) -> float:
         """Adaptive evaluation of psi_delta at a single point.  Raises
-        :class:`ModulusError` for delta below ``PSI_DELTA_FLOOR``."""
+        :class:`ModulusError` for delta below ``PSI_DELTA_FLOOR`` and for xi
+        beyond ``PSI_RATIO_CEILING`` times delta."""
         if self.delta < PSI_DELTA_FLOOR:
             raise ModulusError(
                 f"psi needs delta >= {PSI_DELTA_FLOOR}, got {self.delta}"
             )
         if xi < 0.0:
             raise ModulusError("psi is only defined for xi >= 0")
+        if xi > PSI_RATIO_CEILING * self.delta:
+            raise ModulusError(
+                f"psi needs xi <= {PSI_RATIO_CEILING:g} delta, got xi = {xi} "
+                f"at delta = {self.delta}"
+            )
         if xi == 0.0:
             return 0.0
         res = integrate_1d(self.integrand, 0.0, xi, self.quad_tol)
@@ -197,12 +205,14 @@ class PsiFunctional:
         if t == 0.0:
             return 0.0
         hi = max(self.delta, 1e-6)
+        # the bracket stays where psi is defined (``PSI_RATIO_CEILING``)
+        limit = min(1e15, PSI_RATIO_CEILING * self.delta)
         while not self.psi(hi) >= t:  # a NaN t grows the bracket and raises
-            hi *= 2.0
-            if hi > 1e15:
+            if hi >= limit:
                 raise InversionError(
                     "bracket-growth budget exceeded in psi_inverse"
                 )
+            hi = min(2.0 * hi, limit)
         return invert_monotone(self.psi, t, 0.0, hi, tol)
 
     # -- bulk path ---------------------------------------------------------
@@ -292,53 +302,3 @@ class PsiFunctional:
             cell = j + coarse * (n_fine - 1)
             out[blk] = cum[cell] + (x - s0) * half[cell]
         return out.reshape(xs.shape)
-
-
-# --------------------------------------------------------------------------
-# Osgood divergence diagnostic
-# --------------------------------------------------------------------------
-
-
-# heuristic divergence verdict: "osgood" when the last tail integral
-# exceeds the first by this factor
-OSGOOD_GROWTH = 3.0
-OSGOOD_QUAD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OsgoodTable:
-    """Tail integrals of 1/rho and the heuristic divergence verdict.
-
-    The table itself is the primary output; the verdict is a heuristic
-    (true divergence is not decidable numerically): "osgood" when the last
-    integral exceeds the first by ``OSGOOD_GROWTH``.
-    """
-
-    eps: np.ndarray
-    values: np.ndarray
-    cutoff: float
-    verdict: str
-
-
-def check_osgood(rho, eps_list, cutoff: float) -> OsgoodTable:
-    """Tabulate integral_eps^cutoff ds/rho(s) over a decreasing eps list.
-
-    ``rho`` is any callable s -> float, a ``ModulusOfContinuity`` included.
-    """
-    eps = np.asarray(eps_list, dtype=np.float64)
-    if eps.ndim != 1 or len(eps) < 2:
-        raise ModulusError("need at least two eps values")
-    if np.any(np.diff(eps) >= 0):
-        raise ModulusError("eps list must be strictly decreasing")
-    if np.any(eps <= 0.0) or np.any(eps >= cutoff):
-        raise ModulusError("all eps must lie in (0, cutoff)")
-
-    def inv_rho(s: float) -> float:
-        return 1.0 / rho(s)
-
-    values = np.array(
-        [integrate_1d(inv_rho, e, cutoff, OSGOOD_QUAD_TOL).value for e in eps]
-    )
-    ratio = values[-1] / values[0]
-    verdict = "osgood" if ratio >= OSGOOD_GROWTH else "non-osgood"
-    return OsgoodTable(eps, values, float(cutoff), verdict)

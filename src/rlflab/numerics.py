@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -198,6 +199,10 @@ def make_grid(dimension: int, radius: float, spacing: float) -> PointGrid:
 
 
 def _check_radius(radius: float, spacing: float) -> None:
+    if not (math.isfinite(radius) and math.isfinite(spacing)):
+        raise GridError(
+            f"radius and spacing must be finite, got {radius} and {spacing}"
+        )
     if radius <= 0.0 or spacing <= 0.0:
         raise GridError("radius and spacing must be positive")
     if spacing >= radius:
@@ -208,20 +213,25 @@ def _check_radius(radius: float, spacing: float) -> None:
 
 def _lattice_ball(dimension: int, radius: float, spacing: float) -> np.ndarray:
     """Integer vectors i with ``|i * spacing| <= radius``, lexicographic,
-    cut from the cube ``[-m, m]^d``; a cube that cannot be allocated raises
-    a GridError naming its shape and size."""
-    m = int(np.floor(radius / spacing * (1.0 + MEMBERSHIP_SLACK)))
-    axis = np.arange(-m, m + 1, dtype=np.int64)
+    cut from the cube ``[-m, m]^d``; a cube that cannot be allocated, or
+    whose side is past what numpy can index, raises a GridError naming its
+    shape and size."""
+    half = np.floor(radius / spacing * (1.0 + MEMBERSHIP_SLACK))
     try:
+        m = int(half)
+        axis = np.arange(-m, m + 1, dtype=np.int64)
         mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
         indices = np.stack(mesh, axis=-1).reshape(-1, dimension)
         return indices[_in_ball(indices, radius, spacing)]
-    except MemoryError:
-        shape = (2 * m + 1,) * dimension + (dimension,)
-        gib = 8.0 * np.prod(shape) / 2**30
+    except (MemoryError, OverflowError, ValueError):
+        side = 2.0 * half + 1.0
+        shape = ", ".join([f"{side:.15g}"] * dimension + [str(dimension)])
+        with np.errstate(over="ignore"):
+            gib = 8.0 * dimension * side**dimension / 2**30
+        size = f"{gib:.1f}" if gib < 1e6 else f"{gib:.1e}"
         raise GridError(
-            f"cannot allocate the {shape} lattice cube of B({radius:g}) at "
-            f"spacing {spacing:g}: {gib:.1f} GiB"
+            f"cannot allocate the ({shape}) lattice cube of B({radius:g}) at "
+            f"spacing {spacing:g}: {size} GiB"
         ) from None
 
 

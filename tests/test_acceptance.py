@@ -195,23 +195,24 @@ def test_ac4_cauchy_construction(osgood, moll, ens_b1, ens_b1_fine_step):
 def test_ac5_regularity_set(osgood, moll, ens_b3_top):
     started = time.time()
     eps = 0.1 * ball_measure(1, 1.0)
-    reg, rep = regularity_set(
+    e_rows, rep = regularity_set(
         ens_b3_top, moll[32], 1.0, eps, n_pair_samples=10_000, seed=99
     )
-    deficit_ok = reg.deficit <= eps
+    deficit = rep.constants["deficit"]
+    deficit_ok = deficit <= eps
     all_times_ok = rep.passed
 
     # explicit check at the 21-time subsample for sampled pairs of E
     ens = ens_b3_top
     rng = np.random.default_rng(77)
-    ia = rng.choice(reg.point_indices, 10_000)
-    ib = rng.choice(reg.point_indices, 10_000)
+    ia = rng.choice(e_rows, 10_000)
+    ib = rng.choice(e_rows, 10_000)
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
     sub = ens.positions[:, ::50, 0]
     dist21 = np.abs(sub[ia] - sub[ib]).max(axis=1)
     seps = np.abs(ens.grid.points[ia, 0] - ens.grid.points[ib, 0])
-    target = 2.0 * reg.lens * reg.threshold
+    target = 2.0 * rep.constants["lens"] * rep.constants["threshold"]
     xi_cap = 2.0 * ens.growth_radius() + 1.0
     sub_ok = True
     for r_u in np.unique(seps):
@@ -236,7 +237,7 @@ def test_ac5_regularity_set(osgood, moll, ens_b3_top):
         "AC-5 regularity set and modulus",
         ok,
         started,
-        f"deficit {reg.deficit:.3f} <= {eps}, |E| = {reg.size}",
+        f"deficit {deficit:.3f} <= {eps}, |E| = {len(e_rows)}",
     )
     assert deficit_ok
     assert all_times_ok

@@ -331,18 +331,18 @@ class TestRunExperiment:
         ]
 
     def test_base_witness_norm_measured_once(self, tmp_path, monkeypatch):
-        from rlflab.fields import WitnessFunction
+        import rlflab.estimates as estimates
 
         radii = []
-        norm = WitnessFunction.l1_norm
+        norm = estimates.witness_l1_norm
 
-        def counted(witness, times, grid):
-            if witness.provenance != "mollified":
+        def counted(field, times, grid):
+            if field.mollification_level is None:
                 radii.append(grid.radius)
-            return norm(witness, times, grid)
+            return norm(field, times, grid)
 
         # prop43 reads the base witness norm at 3 radii r: 1 call, not 3
-        monkeypatch.setattr(WitnessFunction, "l1_norm", counted)
+        monkeypatch.setattr(estimates, "witness_l1_norm", counted)
         cfg = parse_config(
             write_config(tmp_path, FAST_CONSTANT.replace("4,8", "4,8,16,32"))
         )
@@ -496,6 +496,14 @@ class TestSubcommands:
         assert len(captured.err.strip().splitlines()) == 1
         assert "ModulusError" in captured.err
 
+    def test_psi_beyond_ratio_ceiling_exits_two(self, capsys):
+        argv = ["psi", "--modulus", "loglog", "--delta", "1e-3", "--xi", "1e15"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ModulusError: psi needs xi <=")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_bad_usage_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -552,6 +560,32 @@ class TestNonFiniteInputs:
         assert "slack override must be finite" in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "text, start",
+        [
+            ("field = constant\nvalue = 1e300\n", "config error: constant sup"),
+            ("field = constant\nvalue = 1e150\n", "error: GridError: cannot"),
+            (
+                "field = sobolev-singular\ncap = 1e300\n",
+                "error: GridError: cannot",
+            ),
+        ],
+    )
+    def test_grid_too_large_to_index_exits_two(
+        self, tmp_path, capsys, text, start
+    ):
+        # the thm31 norm ball B(R + T sup|b|) has no lattice numpy can index
+        path = write_config(
+            tmp_path, "h = 0.05\ntau = 0.01\nT = 0.1\nlevels = 4,8,16\n" + text
+        )
+        code = main(["run", "--config", path, "--suite", "all",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_overflowing_compressibility_exits_two(self, tmp_path, capsys):
         # L = exp(T * 1000) overflows, so the thm31 right side is inf

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from rlflab.estimates import (
+    LENS_CONSTANT,
     EstimateError,
     _live_radii,
     _q_sweep,
     cauchy_diagnostic,
     compactness_a,
     field_l1_distance,
-    lens_constant,
     regularity_Q,
     regularity_set,
     stability_report,
@@ -190,17 +190,17 @@ class TestRegularitySet:
         f = catalog_field("constant", 1, value=0.0)
         grid = make_grid(1, 3.0, 0.01)
         ens = integrate_ensemble(f, grid, 1.0, 0.01)
-        reg, rep = regularity_set(ens, f, 1.0, 0.2, n_pair_samples=2000)
-        assert reg.deficit == 0.0
-        assert reg.size == 201  # all of the B(1) grid
+        e_rows, rep = regularity_set(ens, f, 1.0, 0.2, n_pair_samples=2000)
+        assert rep.constants["deficit"] == 0.0
+        assert len(e_rows) == 201  # all of the B(1) grid
         assert rep.passed
         # witness vanishes: threshold degenerates to the baseline 1
-        assert reg.threshold == 1.0
+        assert rep.constants["threshold"] == 1.0
 
     def test_lens_constants(self):
-        assert lens_constant(1) == 2.0
-        assert lens_constant(2) == pytest.approx(2.5575, abs=2e-4)
-        assert lens_constant(3) == pytest.approx(3.2)
+        assert LENS_CONSTANT[1] == 2.0
+        assert LENS_CONSTANT[2] == pytest.approx(2.5575, abs=2e-4)
+        assert LENS_CONSTANT[3] == pytest.approx(3.2)
 
     def test_linear_rho_bound_matches_exponential_form(self):
         # psi_r^{-1}(t) = r (e^t - 1) for the linear modulus, probed at the
@@ -267,7 +267,7 @@ def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
     for psi_r(xi_cap) and the bound, and no vacuity shortcut: (worst ratio,
     vacuous bounds)."""
     grid = ens.grid
-    target = 2.0 * lens_constant(grid.dimension) * threshold
+    target = 2.0 * LENS_CONSTANT[grid.dimension] * threshold
     xi_cap = 2.0 * ens.growth_radius() + 1.0
     rng = np.random.default_rng(seed)
     ia = rng.choice(e_rows, n_pairs)
@@ -300,17 +300,18 @@ class TestPairCheckShortcut:
         f = linear_contracting
         grid = make_grid(1, 0.75, 0.01)
         ens = integrate_ensemble(f, grid, 0.01, 0.005)
-        reg, rep = regularity_set(ens, f, 0.25, epsilon, n_pair_samples=500)
-        target = 2.0 * lens_constant(1) * reg.threshold
+        e_rows, rep = regularity_set(ens, f, 0.25, epsilon, n_pair_samples=500)
+        threshold = rep.constants["threshold"]
+        target = 2.0 * LENS_CONSTANT[1] * threshold
         xi_cap = rep.constants["xi_cap"]
         closest = PsiFunctional(f.modulus, grid.spacing).psi(xi_cap)
         assert (closest + 1e-6 <= target) == fires
-        assert (reg.threshold == 1.0) != fires
+        assert (threshold == 1.0) != fires
         worst, n_vacuous = _pair_check_by_distance(
-            ens, f.modulus, reg.point_indices, reg.threshold, 500, 20260809
+            ens, f.modulus, e_rows, threshold, 500, 20260809
         )
         assert (worst > 0.0) != fires  # some bound is finite
-        deficit_ok = reg.deficit <= epsilon * (1.0 + rep.slack)
+        deficit_ok = rep.constants["deficit"] <= epsilon * (1.0 + rep.slack)
         lhs = worst if deficit_ok else max(worst, 2.0 + rep.slack)
         expect = make_report(
             "thm41",
@@ -340,16 +341,16 @@ class TestPairBounds:
             return inverse(self, t, tol)
 
         monkeypatch.setattr(PsiFunctional, "psi_inverse", counted)
-        reg, rep = regularity_set(ens, f, 0.25, 0.4, n_pair_samples=500)
+        e_rows, rep = regularity_set(ens, f, 0.25, 0.4, n_pair_samples=500)
         monkeypatch.undo()
         # the pairs regularity_set samples, and the lattice distances among
         # them whose bound psi_r^-1(target) is finite
         rng = np.random.default_rng(20260809)
-        ia = rng.choice(reg.point_indices, 500)
-        ib = rng.choice(reg.point_indices, 500)
+        ia = rng.choice(e_rows, 500)
+        ib = rng.choice(e_rows, 500)
         ia, ib = ia[ia != ib], ib[ia != ib]
         k = np.unique((grid.indices[ia] - grid.indices[ib])[:, 0] ** 2)
-        target = 2.0 * lens_constant(1) * reg.threshold
+        target = 2.0 * LENS_CONSTANT[1] * rep.constants["threshold"]
         finite = [
             grid.spacing * math.sqrt(kk)
             for kk in k
@@ -523,10 +524,10 @@ class TestOffsetSweep:
         f = catalog_field("constant", 2, value=0.0)
         grid = make_grid(2, 1.5, 0.1)
         ens = integrate_ensemble(f, grid, 0.2, 0.02)
-        reg, rep = regularity_set(ens, f, 0.5, 0.2, n_pair_samples=2000)
-        assert reg.deficit == 0.0
-        assert reg.size == 81  # every lattice point of B(5 h)
-        assert reg.threshold == 1.0
+        e_rows, rep = regularity_set(ens, f, 0.5, 0.2, n_pair_samples=2000)
+        assert rep.constants["deficit"] == 0.0
+        assert len(e_rows) == 81  # every lattice point of B(5 h)
+        assert rep.constants["threshold"] == 1.0
         assert rep.passed
 
 

@@ -8,13 +8,13 @@ from rlflab.modulus import (
     LOG_BREAK,
     LOGLOG_BREAK,
     PSI_DELTA_FLOOR,
+    PSI_RATIO_CEILING,
     ModulusError,
     PsiFunctional,
-    check_osgood,
     eval_rho,
     make_modulus,
 )
-from rlflab.numerics import invert_monotone
+from rlflab.numerics import InversionError, integrate_1d, invert_monotone
 
 LIN = make_modulus("linear")
 LOG = make_modulus("log")
@@ -91,6 +91,15 @@ class TestPsi:
         with pytest.raises(ModulusError, match="psi needs delta"):
             PsiFunctional(LIN, 1e-20).psi(0.05)
 
+    def test_ratio_ceiling(self):
+        # at the ceiling xi = 1e12 delta psi meets the closed form; past it,
+        # it raises
+        fam = PsiFunctional(LIN, 1e-6)
+        assert fam.psi(1e6) == pytest.approx(math.log(1e12 + 1.0), rel=1e-8)
+        assert 1e6 == PSI_RATIO_CEILING * 1e-6
+        with pytest.raises(ModulusError, match="psi needs xi <="):
+            fam.psi(1.01e6)
+
     def test_log_vs_trapezoid_oracle(self):
         delta = 1e-3
         xs = np.linspace(0.0, 0.1, 10_000_001)
@@ -107,6 +116,14 @@ class TestPsi:
         fam = PsiFunctional(LIN, 0.1, quad_tol=1e-11)
         assert fam.psi_inverse(1.0) == pytest.approx(0.1 * (math.e - 1.0), abs=1e-8)
         assert fam.psi_inverse(0.0) == 0.0
+
+    def test_inverse_past_ratio_ceiling_raises(self):
+        # psi(1e12 delta) = log(1e12 + 1) < 30: the bracket stops at the
+        # ceiling and raises the inversion error, for a NaN target too
+        fam = PsiFunctional(LIN, 1e-6)
+        for t in (30.0, math.nan):
+            with pytest.raises(InversionError, match="bracket-growth"):
+                fam.psi_inverse(t)
 
     def test_inverse_round_trip_log(self):
         fam = PsiFunctional(LOG, 0.05, quad_tol=1e-11)
@@ -288,34 +305,36 @@ def test_one_index_path_equals_two_branches(monkeypatch, mod, delta):
 
 
 class TestOsgoodDiagnostic:
-    def test_linear_verdict(self):
-        eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(LIN.scalar, eps, 1.0)
-        np.testing.assert_allclose(
-            table.values, [k * np.log(10.0) for k in range(1, 7)], rtol=1e-8
+    """Tail integrals of 1/rho from eps to a cutoff, over six decades of eps:
+    they grow without bound for an Osgood modulus and stay bounded for the
+    integrable control 1/sqrt(s)."""
+
+    EPS = [10.0**-k for k in range(1, 7)]
+
+    @staticmethod
+    def _tails(rho, cutoff):
+        return np.array(
+            [
+                integrate_1d(lambda s: 1.0 / rho(s), e, cutoff, 1e-10).value
+                for e in TestOsgoodDiagnostic.EPS
+            ]
         )
-        assert table.verdict == "osgood"
+
+    def test_linear_verdict(self):
+        values = self._tails(LIN.scalar, 1.0)
+        np.testing.assert_allclose(
+            values, [k * np.log(10.0) for k in range(1, 7)], rtol=1e-8
+        )
 
     def test_sqrt_table_non_osgood(self):
         # integrable singularity: integral of s^-1/2 stays bounded (< 2)
-        eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(math.sqrt, eps, 1.0)
-        assert table.verdict == "non-osgood"
-        oracle = 2.0 * (1.0 - np.sqrt(table.eps))
-        np.testing.assert_allclose(table.values, oracle, rtol=1e-10)
+        values = self._tails(math.sqrt, 1.0)
+        oracle = 2.0 * (1.0 - np.sqrt(self.EPS))
+        np.testing.assert_allclose(values, oracle, rtol=1e-10)
 
     def test_log_verdict_and_loglog_growth(self):
-        # six decades below the breakpoint cutoff (0.1 < e^-2)
-        eps = [10.0**-k for k in range(1, 7)]
-        table = check_osgood(LOG.scalar, eps, LOG_BREAK)
-        assert table.verdict == "osgood"
-        # oracle: integral of 1/(s log(1/s)) from eps to e^-2 is
-        # loglog(1/eps) - log 2
-        oracle = np.log(np.log(1.0 / table.eps)) - np.log(2.0)
-        np.testing.assert_allclose(table.values, oracle, rtol=1e-7)
-
-    def test_eps_validation(self):
-        with pytest.raises(ModulusError):
-            check_osgood(LIN, [0.5, 0.6], 1.0)  # not decreasing
-        with pytest.raises(ModulusError):
-            check_osgood(LIN, [1.5, 0.5], 1.0)  # outside (0, cutoff)
+        # six decades below the breakpoint cutoff (0.1 < e^-2); oracle: the
+        # integral of 1/(s log(1/s)) from eps to e^-2 is loglog(1/eps) - log 2
+        values = self._tails(LOG.scalar, LOG_BREAK)
+        oracle = np.log(np.log(1.0 / np.array(self.EPS))) - np.log(2.0)
+        np.testing.assert_allclose(values, oracle, rtol=1e-7)

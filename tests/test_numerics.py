@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestMakeGrid:
     def test_rejects_bad_dimension(self):
         with pytest.raises(GridError):
             make_grid(4, 1.0, 0.1)
+
+    def test_rejects_non_finite_radius(self):
+        with pytest.raises(GridError, match="must be finite"):
+            make_grid(1, math.inf, 0.05)
+
+    def test_rejects_cube_past_index_range(self):
+        # 4e150 points per axis: numpy cannot index the cube, whatever the
+        # memory
+        with pytest.raises(GridError, match="cannot allocate"):
+            make_grid(1, 1e149, 0.05)
 
     def test_deterministic_ordering(self):
         a = make_grid(2, 1.5, 0.3)

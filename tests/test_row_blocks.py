@@ -193,10 +193,10 @@ class TestPeakMemory:
         ens = integrate_ensemble(f, make_grid(1, 1.5, 0.05), 2.0, 1e-3)
         assert ens.n_times == 2001
         regularity_set(ens, f, 0.5, 0.1, n_pair_samples=10)  # per-field norms
-        (reg, rep), peak = traced_peak(
+        (e_rows, rep), peak = traced_peak(
             lambda: regularity_set(ens, f, 0.5, 0.1, n_pair_samples=1000)
         )
-        assert reg.size >= 2 and rep.constants["n_pairs"] == 1000
+        assert len(e_rows) >= 2 and rep.constants["n_pairs"] == 1000
         assert peak < 2 * MiB
 
     def test_q_sweep(self):
