@@ -112,7 +112,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     schema = get_type_hints(ExperimentConfig)
     values: dict = {}
@@ -587,9 +587,6 @@ def _build_parser():
     run.add_argument("--config", required=True, help="path to key=value config")
     run.add_argument("--suite", required=True, choices=SUITES)
     run.add_argument("--out", help="override the output directory")
-    run.add_argument(
-        "--slack", type=float, help="override the multiplicative slack (%%)"
-    )
 
     sub.add_parser("catalog", help="list catalog fields and modulus kinds")
 
@@ -627,10 +624,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out:
             cfg.out = args.out
-        if args.slack is not None:
-            if not 0.0 <= args.slack < math.inf:
-                raise ConfigError("slack override must be finite and nonnegative")
-            cfg.slack = args.slack / 100.0
         return run_experiment(cfg, args.suite)
     except (ConfigError, FieldError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ from .numerics import (
     row_blocks,
     split_rows,
 )
-from .reporting import EstimateReport, make_report
+from .reporting import EstimateReport
 
 __all__ = [
     "EstimateError",
@@ -81,9 +81,18 @@ class EstimateError(Exception):
     """Invalid estimate configuration."""
 
 
-def _report(estimate_id: str, lhs, rhs, constants: dict, metadata: dict, **kw):
-    """``make_report``, with a non-finite side raised as an EstimateError
-    that names the estimate, the side and the non-finite constants."""
+def _report(
+    estimate_id: str,
+    lhs,
+    rhs,
+    constants: dict,
+    metadata: dict,
+    slack: float,
+    additive: float = 0.0,
+) -> EstimateReport:
+    """The report with float sides, slack and budget; a non-finite side is
+    raised as an EstimateError that names the estimate, the side and the
+    non-finite constants."""
     for side, value in (("lhs", lhs), ("rhs", rhs)):
         if not math.isfinite(value):
             culprits = [
@@ -95,7 +104,10 @@ def _report(estimate_id: str, lhs, rhs, constants: dict, metadata: dict, **kw):
                 f"{estimate_id} {side} is {value}"
                 + (f" (non-finite: {', '.join(culprits)})" if culprits else "")
             )
-    return make_report(estimate_id, lhs, rhs, constants, metadata, **kw)
+    return EstimateReport(
+        estimate_id, float(lhs), float(rhs), constants, metadata,
+        float(slack), float(additive),
+    )
 
 
 def _metadata(ensemble: TrajectoryEnsemble, field=None, n=None, m="") -> dict:
@@ -108,7 +120,7 @@ def _metadata(ensemble: TrajectoryEnsemble, field=None, n=None, m="") -> dict:
         "m": m,
         "h": ensemble.grid.spacing,
         "tau": ensemble.tau,
-        "K": "" if field is None else field.params.get("terms", ""),
+        "K": "" if field is None or field.terms is None else field.terms,
     }
 
 
@@ -223,7 +235,7 @@ def _additive_budget(
     quadrature tolerance; all three are scaled by the worst psi slope 1/delta
     over the integration region.
     """
-    terms = field.params.get("terms")
+    terms = field.terms
     horizon_scale = region_measure / delta
     trunc = 2.0 / terms * horizon_scale if terms else 0.0
     rk4 = tau**4 * horizon_scale

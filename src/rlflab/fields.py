@@ -22,9 +22,9 @@ off declared singular zones.  A witness is a plain function
 ``g(t, pts (n, d)) -> (n,)``: the estimates read it only through its values
 and its L1 norm (``estimates.witness_l1_norm``).  Measured witness constants
 are inflated by a small headroom factor (1.5%) so that the certificate also
-covers pairs that the finite calibration sample missed; the raw measured
-constants are kept unmodified in the field's ``params`` (``c2_measured``,
-``witness_constant``).
+covers pairs that the finite calibration sample missed; the raw constants
+are the return values of ``measure_osgood_constant`` (cached per term count)
+and ``calibrate_witness_constant``, and a field keeps only its witness.
 
 Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
@@ -477,17 +477,17 @@ class VectorField:
     ``sup_bound`` must be finite.  ``div_evaluator`` is the catalog's
     analytic divergence, or, on a mollified field, the central difference at
     ``FD_DIV_STEP`` that ``mollify`` sets.  ``series`` and ``parts`` only
-    tell ``mollify`` how to convolve the field.  ``params`` holds the series
-    truncation ``terms`` (report metadata K and the truncation budget) and
-    the measured constants.  Catalog fields do not depend on t, but every
-    interface carries it.
+    tell ``mollify`` how to convolve the field.  ``terms`` is the series
+    truncation K of a field built on V_K (report metadata K and the
+    truncation budget), None for the others.  Catalog fields do not depend
+    on t, but every interface carries it.
     """
 
     dimension: int
     catalog_id: str
-    params: dict
     sup_bound: float
     evaluator: object
+    terms: int | None = None
     witness: object | None = None
     modulus: ModulusOfContinuity | None = None
     div_evaluator: object | None = None
@@ -572,13 +572,10 @@ def _make_constant(dimension, value=1.0):
     def div(t, pts):
         return np.zeros(pts.shape[0])
 
-    with np.errstate(over="ignore"):  # an infinite bound is refused below
-        sup_bound = float(np.sqrt(np.sum(v * v)))
     return VectorField(
         dimension,
         "constant",
-        {},
-        sup_bound,
+        math.hypot(*v),  # no overflow below the float range
         ev,
         witness=constant_witness(0.0),
         modulus=make_modulus("linear"),
@@ -626,7 +623,6 @@ def _make_linear(dimension, slope=-1.0):
     return VectorField(
         dimension,
         "linear",
-        {},
         sup_bound,
         ev,
         witness=constant_witness(0.5 * lipschitz),
@@ -652,9 +648,9 @@ def _make_osgood_sum(dimension, terms=1000):
     return VectorField(
         dimension,
         "osgood-sum",
-        {"terms": terms, "c2_measured": c2},
         PI2_OVER_6,
         ev,
+        terms=terms,
         witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM),
         modulus=make_modulus("log"),
         div_evaluator=div,
@@ -673,10 +669,9 @@ def _sobolev_profile(pts: np.ndarray, alpha: float, cap: float):
     return out, r
 
 
-def _sobolev_grad(pts: np.ndarray, alpha: float, cap: float) -> np.ndarray:
-    """|grad profile| = alpha r^(-alpha-1) outside the cap plateau."""
+def _sobolev_grad(pts: np.ndarray, alpha: float, r_cap: float) -> np.ndarray:
+    """|grad profile| = alpha r^(-alpha-1) outside the cap plateau r <= r_cap."""
     r = np.sqrt(np.sum(pts * pts, axis=1))
-    r_cap = cap ** (-1.0 / alpha)
     out = np.zeros_like(r)
     outside = r > r_cap
     out[outside] = alpha * r[outside] ** (-alpha - 1.0)
@@ -692,7 +687,10 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
         raise FieldError("cap must be positive")
     alpha = float(alpha)
     cap = float(cap)
-    r_cap = cap ** (-1.0 / alpha)
+    try:
+        r_cap = cap ** (-1.0 / alpha)
+    except OverflowError:  # past the float range: the plateau cap e1 everywhere
+        r_cap = math.inf
 
     def ev(t, pts):
         prof, _ = _sobolev_profile(pts, alpha, cap)
@@ -714,12 +712,11 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
         return out
 
     def grad_fn(t, pts):
-        return _sobolev_grad(pts, alpha, cap)
+        return _sobolev_grad(pts, alpha, r_cap)
 
     base = VectorField(
         dimension,
         "sobolev-singular",
-        {},
         cap,
         ev,
         witness=None,
@@ -749,7 +746,7 @@ def _summed(parts):
 def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     sob = _make_sobolev(dimension, alpha=alpha, cap=cap)
     osc = _make_osgood_sum(dimension, terms)
-    c2 = osc.params["c2_measured"]
+    c2 = measure_osgood_constant(terms)
     c2d = c2 * dimension * WITNESS_HEADROOM
     if c2d <= 1.0:
         raise FieldError("combined witness needs C2 * d > 1")
@@ -762,9 +759,9 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
     return VectorField(
         dimension,
         "combined",
-        {"terms": terms},
         cap + PI2_OVER_6,
         ev,
+        terms=terms,
         witness=g,
         modulus=osc.modulus,
         div_evaluator=div,
@@ -1116,8 +1113,7 @@ def calibrate_witness_constant(
     denominator are skipped.  Returns the raw constant and a copy of the
     field carrying the calibrated witness
     g = c_hat * WITNESS_HEADROOM * M|grad b|  (the headroom covers the
-    sampling density); the raw constant is also the field's
-    ``params["witness_constant"]``.
+    sampling density).
     """
     if n_pairs < 1000:
         raise CalibrationError("need at least 1e3 pairs")
@@ -1155,12 +1151,7 @@ def calibrate_witness_constant(
     c_hat = float(ratios.max()) if len(ratios) else 0.0
 
     witness = _maximal_witness(grid, m_grad, c_hat * WITNESS_HEADROOM, grad_fn)
-    enriched = replace(
-        field,
-        witness=witness,
-        params={**field.params, "witness_constant": c_hat},
-    )
-    return c_hat, enriched
+    return c_hat, replace(field, witness=witness)
 
 
 def _near_pairs(grid: PointGrid, n: int, rng):

@@ -1,10 +1,12 @@
-"""Ensemble integration of dX/dt = b_t(X) and flow-level measurements.
+"""Ensemble integration of dX/dt = b_t(X) and the sup distance of two flows.
 
 Trajectories start from every point of a lattice ball grid and are advanced
 with classical fixed-step RK4.  A fixed uniform time mesh keeps ensembles
 directly comparable: sup distances, the ball-average functionals and the
 translation functionals all consume the stored ``(point, time, coordinate)``
-position array.
+position array.  A coarser mesh is a slice of it, ``positions[:, ::k]``.
+The push-forward bound L of a flow is not measured here: every report takes
+it from the field's divergence, ``fields.compressibility_constant``.
 
 Integration is data-parallel across initial points: contiguous blocks of
 them run on the CPUs of the affinity mask, one process each.  A trajectory
@@ -36,12 +38,9 @@ from .numerics import PointGrid, row_blocks, split_rows
 __all__ = [
     "FlowError",
     "TrajectoryEnsemble",
-    "CompressibilityEstimate",
     "integrate_ensemble",
     "sup_distance",
     "sup_distance_rows",
-    "subsample_times",
-    "compressibility",
 ]
 
 GROWTH_SLACK_STEPS = 10.0  # growth bound slack, in units of tau
@@ -119,21 +118,6 @@ class TrajectoryEnsemble:
         if idx < 0 or idx >= self.n_times or abs(idx * self.tau - t) > 1e-9:
             raise FlowError(f"time {t} is not on the mesh")
         return idx
-
-
-@dataclass(frozen=True)
-class CompressibilityEstimate:
-    """Histogram push-forward bound and the analytic exponential when known."""
-
-    cell_size: float
-    l_hat: float
-    argmax_time_index: int
-    argmax_cell: int
-    analytic: float | None
-
-    def __post_init__(self):
-        if not self.l_hat > 0.0:
-            raise FlowError("histogram compressibility must be positive")
 
 
 def integrate_ensemble(
@@ -225,65 +209,3 @@ def sup_distance_rows(pa: np.ndarray, pb: np.ndarray, ia=None, ib=None):
         diff = xa - xb
         out[blk] = np.sum(np.square(diff, out=diff), axis=2).max(axis=1)
     return np.sqrt(out, out=out)
-
-
-def subsample_times(ensemble: TrajectoryEnsemble, stride: int) -> TrajectoryEnsemble:
-    """Restrict an ensemble to every ``stride``-th mesh time.
-
-    Aligns a finer-step run with a coarser mesh so the two can be compared
-    on their common times (for example a step-halving uniqueness check).
-    """
-    if stride < 1 or (ensemble.n_times - 1) % stride != 0:
-        raise FlowError("stride must divide the number of steps")
-    tau = ensemble.tau * stride
-    return replace(
-        ensemble,
-        times=np.arange((ensemble.n_times - 1) // stride + 1) * tau,
-        positions=ensemble.positions[:, ::stride, :],
-        tau=tau,
-    )
-
-
-def compressibility(
-    ensemble: TrajectoryEnsemble,
-    cell_size: float,
-    analytic: float | None = None,
-) -> CompressibilityEstimate:
-    """Histogram estimate of the push-forward density bound.
-
-    Bins every time slice into cells of the given size; the estimate is the
-    max over times and cells of (points in cell * h^d) / cell volume.  The
-    histogram carries about 20% binning noise at desk scale, so the analytic
-    exponential divergence bound remains the authoritative constant in
-    reports.
-    """
-    grid = ensemble.grid
-    if cell_size < 2.0 * grid.spacing:
-        raise FlowError("cell size must be at least twice the grid spacing")
-    reach = ensemble.growth_radius() + cell_size
-    edges = np.arange(-reach, reach + cell_size, cell_size)
-    n_cells_axis = len(edges) - 1
-    d = grid.dimension
-    mass_unit = grid.cell_volume / cell_size**d
-    good = ~ensemble.flags
-    best = 0.0
-    best_t = 0
-    best_cell = 0
-    for ti in range(ensemble.n_times):
-        pts = ensemble.positions[good, ti, :]
-        idx = np.clip(
-            np.floor((pts + reach) / cell_size).astype(np.int64),
-            0,
-            n_cells_axis - 1,
-        )
-        flat = idx[:, 0]
-        for j in range(1, d):
-            flat = flat * n_cells_axis + idx[:, j]
-        counts = np.bincount(flat)
-        top = int(counts.argmax())
-        val = counts[top] * mass_unit
-        if val > best:
-            best, best_t, best_cell = float(val), ti, top
-    return CompressibilityEstimate(
-        float(cell_size), best, best_t, best_cell, analytic
-    )

@@ -84,6 +84,20 @@ def ens_b15(moll, ens_b3_top):
     }
 
 
+def _pushforward_bound(ens):
+    """max over mesh times and interior grid points of 1 / |dX_t/dx|, the
+    push-forward density of a d = 1 flow by its lattice Jacobian: central
+    differences over the stored positions."""
+    x = ens.positions[:, :, 0]
+    jac = (x[2:] - x[:-2]) / (2.0 * ens.grid.spacing)
+    return float((1.0 / np.abs(jac)).max())
+
+
+@pytest.fixture(scope="session")
+def pushforward_bound():
+    return _pushforward_bound
+
+
 @pytest.fixture(scope="session")
 def sobolev():
     return catalog_field("sobolev-singular", 1)

@@ -19,7 +19,7 @@ from rlflab.cli import (
 from rlflab.estimates import EstimateError
 from rlflab.fields import CATALOG
 from rlflab.numerics import NumericsError
-from rlflab.reporting import CSV_COLUMNS, make_report
+from rlflab.reporting import CSV_COLUMNS, EstimateReport
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -396,8 +396,8 @@ class TestRunExperiment:
     def test_failure_gives_exit_one(self, tmp_path, monkeypatch):
         import rlflab.cli as cli
 
-        bad_report = make_report(
-            "lemma23", 2.0, 1.0, {}, {"field": "synthetic"}, slack=0.0
+        bad_report = EstimateReport(
+            "lemma23", 2.0, 1.0, {}, {"field": "synthetic"}, 0.0, 0.0
         )
         assert bad_report.verdict == "fail"
         monkeypatch.setitem(
@@ -417,8 +417,8 @@ class TestPlots:
         assert "no reports" in capsys.readouterr().err
 
     def test_single_stability_plot(self, tmp_path):
-        rep = make_report(
-            "thm31", 1.0, 2.0, {}, {"field": "f", "n": 4, "m": 8}, slack=0.05
+        rep = EstimateReport(
+            "thm31", 1.0, 2.0, {}, {"field": "f", "n": 4, "m": 8}, 0.05, 0.0
         )
         written = emit_plots([rep], str(tmp_path))
         assert len(written) == 1
@@ -427,8 +427,8 @@ class TestPlots:
         assert "lhs" in text and "rhs" in text
 
     def test_plot_determinism(self, tmp_path):
-        rep = make_report(
-            "thm31", 1.0, 2.0, {}, {"field": "f", "n": 4, "m": 8}, slack=0.05
+        rep = EstimateReport(
+            "thm31", 1.0, 2.0, {}, {"field": "f", "n": 4, "m": 8}, 0.05, 0.0
         )
         a = emit_plots([rep], str(tmp_path / "a"))
         b = emit_plots([rep], str(tmp_path / "b"))
@@ -550,21 +550,50 @@ class TestNonFiniteInputs:
         assert "finite" in captured.err
 
     def test_slack_override_exits_two(self, tmp_path, capsys):
+        # the slack is the config key alone; an option for it is unknown
         out = tmp_path / "out"
         code = main(["run", "--config", write_config(tmp_path, FAST_CONSTANT),
                      "--suite", "stability", "--out", str(out),
-                     "--slack", "nan"])
+                     "--slack", "5"])
+        assert code == 2
+        assert "unrecognized arguments: --slack 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xff\xfeh = 0.05\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--suite", "stability",
+                     "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot read config (")
         assert len(err.strip().splitlines()) == 1
-        assert "slack override must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "field = sobolev-singular\ncap = 1e-300\n",
+            "field = sobolev-singular\ncap = 1e-40\nalpha = 0.1\n",
+            "field = combined\ncap = 1e-200\n",
+        ],
+    )
+    def test_cap_radius_past_float_range_runs(self, tmp_path, capsys, text):
+        # cap^(-1/alpha) overflows: the field is the plateau cap e1 everywhere
+        path = write_config(
+            tmp_path, "h = 0.05\ntau = 0.01\nT = 0.05\nlevels = 4,8,16\n" + text
+        )
+        code = main(["run", "--config", path, "--suite", "all",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
         "text, start",
         [
-            ("field = constant\nvalue = 1e300\n", "config error: constant sup"),
+            ("field = constant\nvalue = 1e300\n", "error: GridError: cannot"),
             ("field = constant\nvalue = 1e150\n", "error: GridError: cannot"),
             (
                 "field = sobolev-singular\ncap = 1e300\n",

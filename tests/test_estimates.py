@@ -29,7 +29,7 @@ from rlflab.numerics import (
     grid_integral,
     make_grid,
 )
-from rlflab.reporting import make_report
+from rlflab.reporting import EstimateReport
 
 LIN = make_modulus("linear")
 LOG = make_modulus("log")
@@ -313,13 +313,14 @@ class TestPairCheckShortcut:
         assert (worst > 0.0) != fires  # some bound is finite
         deficit_ok = rep.constants["deficit"] <= epsilon * (1.0 + rep.slack)
         lhs = worst if deficit_ok else max(worst, 2.0 + rep.slack)
-        expect = make_report(
+        expect = EstimateReport(
             "thm41",
             lhs,
             1.0,
             {**rep.constants, "n_vacuous_bounds": n_vacuous},
             rep.metadata,
-            slack=rep.slack,
+            rep.slack,
+            0.0,
         )
         assert rep.to_json() == expect.to_json()
 
