@@ -17,7 +17,7 @@ import inspect
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -34,7 +34,7 @@ from .estimates import (
 )
 from .fields import CATALOG, FieldError, MollifierKernel, catalog_field, mollify
 from .flow import FlowError, integrate_ensemble
-from .modulus import NAMED_KINDS, ModulusError, PsiFunctional, make_modulus
+from .modulus import NAMED_KINDS, ModulusError, ModulusOfContinuity, PsiFunctional
 from .numerics import NumericsError, ball_measure, make_grid
 from .reporting import reports_to_csv
 
@@ -68,12 +68,11 @@ class ConfigError(Exception):
 @dataclass
 class ExperimentConfig:
     """The config schema: a config file sets any of these keys, parsed by
-    the field's type (a tuple is written comma-separated).  ``modulus = ''``
-    keeps the field's own modulus, ``cap = 0`` the field's default cap, and
-    ``epsilon = 0`` reads 0.1 times the measure of B(R)."""
+    the field's type (a tuple is written comma-separated).  ``cap = 0``
+    keeps the field's default cap, and ``epsilon = 0`` reads 0.1 times the
+    measure of B(R)."""
 
     field: str = "osgood-sum"
-    modulus: str = ""
     d: int = 1
     terms: int = 1000
     alpha: float = 0.3
@@ -156,14 +155,14 @@ def parse_config(path) -> ExperimentConfig:
         )
     if cfg.d not in (1, 2, 3):
         raise anchored("d", "d must be 1, 2 or 3")
-    if cfg.modulus and cfg.modulus not in NAMED_KINDS:
-        raise anchored("modulus", f"modulus {cfg.modulus!r} not in {NAMED_KINDS}")
     for key in ("R", "T", "h", "tau", "eta"):
         if getattr(cfg, key) <= 0.0:
             raise anchored(key, f"{key} must be positive")
     if cfg.h >= cfg.R:
         raise anchored("h", "grid spacing must be smaller than R", "R")
     steps = cfg.T / cfg.tau
+    if not math.isfinite(steps):
+        raise anchored("tau", f"T/tau = {steps} is past the float range", "T")
     if abs(steps - round(steps)) > 1e-9:
         raise anchored("tau", f"T/tau = {steps} is not an integer", "T")
     if len(cfg.levels) < 1 or any(
@@ -188,7 +187,7 @@ class _Pipeline:
 
     The cauchy, thm41, prop43 and thm44 bounds are stated with the rough
     field's constants, so those suites pass the base field itself (built
-    once, with the config's modulus override).  Each mollified level is
+    once; its modulus is its catalog entry's).  Each mollified level is
     integrated once per run, on the largest ball any chosen suite reads at
     that level (``SUITE_REACH``); every smaller ball is served as a row
     restriction of that ensemble, which equals a direct integration bit for
@@ -212,12 +211,7 @@ class _Pipeline:
             kwargs = {k: getattr(cfg, k) for k in params if k != "dimension"}
             if kwargs.get("cap") == 0.0:  # the field's default cap
                 del kwargs["cap"]
-            base = catalog_field(cfg.field, cfg.d, **kwargs)
-            if cfg.modulus and (
-                base.modulus is None or cfg.modulus != base.modulus.kind
-            ):
-                base = replace(base, modulus=make_modulus(cfg.modulus))
-            self._base = base
+            self._base = catalog_field(cfg.field, cfg.d, **kwargs)
         return self._base
 
     def mollified(self, level: int):
@@ -618,7 +612,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "psi":
-            fam = PsiFunctional(make_modulus(args.modulus), args.delta)
+            fam = PsiFunctional(ModulusOfContinuity(args.modulus), args.delta)
             print(repr(fam.psi(args.xi)))
             return 0
         cfg = parse_config(args.config)

@@ -297,12 +297,11 @@ def stability_report(
     psi = PsiFunctional(modulus, float(delta))
     mask = grid.ball_mask(region_radius)
     sup = sup_distance(ens_a, ens_b)[mask]
-    vals = np.empty(len(sup))
 
-    def fill(lo, hi):
+    def fill(vals, lo, hi):
         vals[lo:hi] = [psi.psi(float(v)) for v in sup[lo:hi]]
 
-    split_rows(fill, vals)
+    vals = split_rows(fill, len(sup))
     lhs = float(sum(vals.tolist()) * grid.cell_volume)
 
     g_norm = _witness_norm(field_a, ens_a.times, norm_grid)

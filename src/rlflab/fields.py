@@ -67,8 +67,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .modulus import ModulusOfContinuity, make_modulus
+from .modulus import ModulusOfContinuity
 from .numerics import (
+    BALL_VOLUME_COEFF,
     GridError,
     MEMBERSHIP_SLACK,
     PointGrid,
@@ -156,28 +157,28 @@ def _chunked(fn, x, size=_CHUNK):
     """fn over float64 ``x`` in pieces of ``size``; a scalar gives a float."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
-    out = np.empty_like(flat)
-    _fill_pieces(lambda lo, hi: fn(flat[lo:hi]), out, size)
+    out = _fill_pieces(lambda lo, hi: fn(flat[lo:hi]), len(flat), size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _fill_pieces(piece, out: np.ndarray, size=_CHUNK) -> np.ndarray:
-    """``out[lo:hi] = piece(lo, hi)`` over consecutive pieces of ``size``.
+def _fill_pieces(piece, n: int, size=_CHUNK) -> np.ndarray:
+    """The length-``n`` array whose ``[lo:hi]`` is ``piece(lo, hi)`` over
+    consecutive pieces of ``size``.
 
-    An output of at least two ``_CHUNK``s is split across the CPUs of the
-    affinity mask at piece edges (``numerics.split_rows``), so every piece
-    is computed exactly as in one process.
+    At least two ``_CHUNK``s are split across the CPUs of the affinity mask
+    at piece edges (``numerics.split_rows``), so every piece is computed
+    exactly as in one process.
     """
 
-    def fill(lo, hi):
+    def fill(out, lo, hi):
         for i in range(lo, hi, size):
             j = min(i + size, hi)
             out[i:j] = piece(i, j)
 
-    if len(out) >= 2 * _CHUNK:
-        split_rows(fill, out, align=size)
-    else:
-        fill(0, len(out))
+    if n >= 2 * _CHUNK:
+        return split_rows(fill, n, align=size)
+    out = np.empty(n)
+    fill(out, 0, n)
     return out
 
 
@@ -293,7 +294,7 @@ def _tail_table(terms: int) -> np.ndarray:
         xs = np.arange(lo, hi, dtype=np.float64) * SERIES_TAIL_STEP
         return _series_chunk(xs, SERIES_DIRECT_TERMS + 1, terms)
 
-    table = _fill_pieces(piece, np.empty(n))
+    table = _fill_pieces(piece, n)
     _save_atomic(path, table)
     return table
 
@@ -343,14 +344,14 @@ def measure_osgood_constant(terms: int) -> float:
     s = rng.uniform(-OSGOOD_SPAN, OSGOOD_SPAN, OSGOOD_PAIRS)
     keep = t != s
     t, s = t[keep], s[keep]
-    rho = make_modulus("log")
+    rho = ModulusOfContinuity("log")
 
     def piece(lo, hi):
         tp, sp = t[lo:hi], s[lo:hi]
         gap = _series_chunk(tp, 1, terms) - _series_chunk(sp, 1, terms)
         return np.abs(gap) / rho(np.abs(tp - sp))
 
-    return float(_fill_pieces(piece, np.empty(len(t))).max())
+    return float(_fill_pieces(piece, len(t)).max())
 
 
 # ==========================================================================
@@ -375,39 +376,19 @@ def constant_witness(value: float):
 
 @functools.cache
 def _bump_normalizer(dimension: int) -> float:
-    """1 / integral of the bump over the unit ball, per dimension."""
-    if dimension == 1:
-        total = integrate_1d(
-            lambda u: math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1 else 0.0,
-            -1.0,
-            1.0,
-            1e-13,
-        ).value
-    elif dimension == 2:
-        total = (
-            2.0
-            * math.pi
-            * integrate_1d(
-                lambda r: r * math.exp(-1.0 / (1.0 - r * r)) if r < 1 else 0.0,
-                0.0,
-                1.0,
-                1e-13,
-            ).value
-        )
-    elif dimension == 3:
-        total = (
-            4.0
-            * math.pi
-            * integrate_1d(
-                lambda r: r * r * math.exp(-1.0 / (1.0 - r * r)) if r < 1 else 0.0,
-                0.0,
-                1.0,
-                1e-13,
-            ).value
-        )
-    else:
+    """1 / integral of the bump over the unit ball, per dimension: the
+    sphere area d |B_1| times the radial integral, taken over [-1, 1]."""
+    if dimension not in BALL_VOLUME_COEFF:
         raise FieldError("kernel dimensions stop at 3")
-    return 1.0 / total
+    radial = integrate_1d(
+        lambda r: abs(r) ** (dimension - 1) * math.exp(-1.0 / (1.0 - r * r))
+        if abs(r) < 1
+        else 0.0,
+        -1.0,
+        1.0,
+        1e-13,
+    ).value
+    return 1.0 / (0.5 * dimension * BALL_VOLUME_COEFF[dimension] * radial)
 
 
 @dataclass(frozen=True)
@@ -578,7 +559,7 @@ def _make_constant(dimension, value=1.0):
         math.hypot(*v),  # no overflow below the float range
         ev,
         witness=constant_witness(0.0),
-        modulus=make_modulus("linear"),
+        modulus=ModulusOfContinuity("linear"),
         div_evaluator=div,
     )
 
@@ -626,7 +607,7 @@ def _make_linear(dimension, slope=-1.0):
         sup_bound,
         ev,
         witness=constant_witness(0.5 * lipschitz),
-        modulus=make_modulus("linear"),
+        modulus=ModulusOfContinuity("linear"),
         div_evaluator=div,
     )
 
@@ -652,7 +633,7 @@ def _make_osgood_sum(dimension, terms=1000):
         ev,
         terms=terms,
         witness=constant_witness(0.5 * dimension * c2 * WITNESS_HEADROOM),
-        modulus=make_modulus("log"),
+        modulus=ModulusOfContinuity("log"),
         div_evaluator=div,
         series=series,
     )
@@ -720,7 +701,7 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
         cap,
         ev,
         witness=None,
-        modulus=make_modulus("linear"),
+        modulus=ModulusOfContinuity("linear"),
         div_evaluator=div,
         singular_points=(tuple([0.0] * dimension),),
     )
@@ -1020,9 +1001,15 @@ def compressibility_constant(
 
 
 def dyadic_radii(radius_cap: float, spacing: float, depth: int = 6) -> np.ndarray:
-    """{R 2^-j} down to the grid spacing, at most depth+1 values."""
-    radii = [radius_cap * 0.5**j for j in range(depth + 1)]
-    radii = [r for r in radii if r >= spacing * (1.0 - MEMBERSHIP_SLACK)]
+    """{R 2^-j} down to the grid spacing, at most depth+1 values; the
+    halving stops at the first radius below it, whatever the depth."""
+    floor = spacing * (1.0 - MEMBERSHIP_SLACK)
+    radii = []
+    for j in range(depth + 1):
+        r = radius_cap * 0.5**j
+        if not r >= floor:
+            break
+        radii.append(r)
     if not radii:
         raise FieldError("no admissible radius >= grid spacing")
     return np.asarray(radii, dtype=np.float64)

@@ -28,6 +28,7 @@ suite stands in for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,31 +129,32 @@ def integrate_ensemble(
 ) -> TrajectoryEnsemble:
     """Classical RK4 over every grid point, storing all mesh positions.
 
-    The trajectories are cut into contiguous row blocks, one per CPU of the
-    affinity mask (``numerics.split_rows``), each integrated by the same
-    code straight into ``positions``; a trajectory depends on its own
+    ``numerics.split_rows`` allocates ``positions`` and cuts the
+    trajectories into contiguous row blocks, one per CPU of the affinity
+    mask, each integrated by the same code; a trajectory depends on its own
     initial point only, so the result does not depend on the CPU count
-    (``taskset -c 0`` runs it in one process).
+    (``taskset -c 0`` runs it in one process).  A time mesh or positions
+    array that cannot be allocated, or that is past what numpy can index,
+    raises a FlowError naming the positions' shape and size; so does a
+    MemoryError while the trajectories are integrated.
     """
     if field.dimension != grid.dimension:
         raise FlowError("field and grid dimensions differ")
     if tau <= 0.0 or horizon <= 0.0:
         raise FlowError("horizon and step must be positive")
-    n_steps = int(round(horizon / tau))
+    steps = horizon / tau
+    if not math.isfinite(steps):
+        raise FlowError(
+            f"horizon/step = {horizon}/{tau} is past the float range"
+        )
+    n_steps = int(round(steps))
     if abs(n_steps * tau - horizon) > 1e-9 * max(1.0, horizon):
         raise FlowError(f"horizon/step = {horizon}/{tau} is not an integer")
-    shape = (grid.n_points, n_steps + 1, grid.dimension)
-    try:
-        times = np.arange(n_steps + 1, dtype=np.float64) * tau
-        positions = np.empty(shape, dtype=np.float64)
-    except MemoryError:
-        gib = 8.0 * np.prod(shape) / 2**30
-        raise FlowError(f"cannot allocate {shape} positions: {gib:.1f} GiB")
     ev = field.evaluator
     half = 0.5 * tau
     sixth = tau / 6.0
 
-    def fill(lo, hi):
+    def fill(positions, lo, hi):
         x = grid.points[lo:hi].copy()
         positions[lo:hi, 0, :] = x
         for step in range(n_steps):
@@ -164,7 +166,20 @@ def integrate_ensemble(
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             positions[lo:hi, step + 1, :] = x
 
-    split_rows(fill, positions)
+    shape = (grid.n_points, n_steps + 1, grid.dimension)
+    size = 8.0 * math.prod(map(float, shape))  # bytes, past any int range
+    try:
+        if size > np.iinfo(np.intp).max:  # numpy's ValueError past this
+            raise MemoryError
+        times = np.arange(n_steps + 1, dtype=np.float64) * tau
+        positions = split_rows(fill, shape)
+    except MemoryError:
+        dims = ", ".join(f"{s:.15g}" for s in map(float, shape))
+        gib = size / 2**30
+        amount = f"{gib:.1f}" if gib < 1e6 else f"{gib:.1e}"
+        raise FlowError(
+            f"cannot allocate ({dims}) positions: {amount} GiB"
+        ) from None
     flags = ~np.isfinite(positions).all(axis=(1, 2))
     return TrajectoryEnsemble(
         grid,

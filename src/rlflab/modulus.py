@@ -42,12 +42,9 @@ __all__ = [
     "ModulusError",
     "ModulusOfContinuity",
     "PsiFunctional",
-    "make_modulus",
-    "eval_rho",
 ]
 
-# the kinds ``make_modulus`` builds, the ones a config or ``rlf-lab psi`` can
-# name
+# the kinds ``ModulusOfContinuity`` takes, the ones ``rlf-lab psi`` can name
 NAMED_KINDS = ("linear", "log", "loglog")
 
 LOG_BREAK = math.exp(-2.0)  # e^-2
@@ -71,7 +68,30 @@ class ModulusOfContinuity:
             raise ModulusError(f"unknown modulus kind {self.kind!r}")
 
     def __call__(self, s):
-        return eval_rho(self, s)
+        """rho at a scalar or array of nonnegative arguments."""
+        arr = np.asarray(s, dtype=np.float64)
+        scalar = arr.ndim == 0
+        x = np.atleast_1d(arr)
+        if np.any(x < 0.0):
+            raise ModulusError("rho is only defined for s >= 0")
+        kind = self.kind
+        if kind == "linear":
+            out = x.copy()
+        elif kind == "log":
+            out = np.empty_like(x)
+            low = x <= LOG_BREAK
+            # guard the 0 * log(inf) corner: the limit is 0
+            xs = np.where(x[low] > 0.0, x[low], 1.0)
+            out[low] = np.where(x[low] > 0.0, xs * np.log(1.0 / xs), 0.0)
+            out[~low] = x[~low] + LOG_BREAK
+        else:  # loglog
+            out = np.empty_like(x)
+            low = x <= LOGLOG_BREAK
+            xs = np.where(x[low] > 0.0, x[low], 0.5 * LOGLOG_BREAK)
+            lg = np.log(1.0 / xs)
+            out[low] = np.where(x[low] > 0.0, xs * lg * np.log(lg), 0.0)
+            out[~low] = _LOGLOG_VALUE + _LOGLOG_SLOPE * (x[~low] - LOGLOG_BREAK)
+        return float(out[0]) if scalar else out
 
     def scalar(self, s: float) -> float:
         """Fast scalar evaluation (hot path of the adaptive quadrature)."""
@@ -90,38 +110,6 @@ class ModulusOfContinuity:
             lg = math.log(1.0 / s)
             return s * lg * math.log(lg)
         return _LOGLOG_VALUE + _LOGLOG_SLOPE * (s - LOGLOG_BREAK)
-
-
-def make_modulus(kind: str) -> ModulusOfContinuity:
-    """Catalog factory."""
-    return ModulusOfContinuity(kind)
-
-
-def eval_rho(modulus: ModulusOfContinuity, s):
-    """Evaluate rho at a scalar or array of nonnegative arguments."""
-    arr = np.asarray(s, dtype=np.float64)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-    if np.any(x < 0.0):
-        raise ModulusError("rho is only defined for s >= 0")
-    kind = modulus.kind
-    if kind == "linear":
-        out = x.copy()
-    elif kind == "log":
-        out = np.empty_like(x)
-        low = x <= LOG_BREAK
-        # guard the 0 * log(inf) corner: the limit is 0
-        xs = np.where(x[low] > 0.0, x[low], 1.0)
-        out[low] = np.where(x[low] > 0.0, xs * np.log(1.0 / xs), 0.0)
-        out[~low] = x[~low] + LOG_BREAK
-    else:  # loglog
-        out = np.empty_like(x)
-        low = x <= LOGLOG_BREAK
-        xs = np.where(x[low] > 0.0, x[low], 0.5 * LOGLOG_BREAK)
-        lg = np.log(1.0 / xs)
-        out[low] = np.where(x[low] > 0.0, xs * lg * np.log(lg), 0.0)
-        out[~low] = _LOGLOG_VALUE + _LOGLOG_SLOPE * (x[~low] - LOGLOG_BREAK)
-    return float(out[0]) if scalar else out
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +209,9 @@ class PsiFunctional:
         """Cumulative trapezoid of 1/(rho + delta) over the fine mesh and a
         coarse mesh up to ``need``.
 
-        Past ``eval_rho``, at most three float64 arrays of the mesh length
-        are alive at once: each operation writes in place, and each array
-        is dropped after its last use.  The table keeps ``cum`` and
+        Past rho's own evaluation, at most three float64 arrays of the mesh
+        length are alive at once: each operation writes in place, and each
+        array is dropped after its last use.  The table keeps ``cum`` and
         ``half``.
         """
         fine = np.arange(0.0, _FINE_END + _FINE_STEP, _FINE_STEP)
@@ -236,7 +224,7 @@ class PsiFunctional:
         )
         mesh = np.concatenate([fine, coarse])
         del fine, coarse
-        vals = eval_rho(self.modulus, mesh)
+        vals = self.modulus(mesh)
         vals += self.delta
         np.divide(1.0, vals, out=vals)
         half = vals[1:] + vals[:-1]  # pair sums, halved below

@@ -3,10 +3,10 @@
 Lattice grids covering centered balls, ball averages and Lebesgue-measure
 helpers, adaptive 1-D quadrature, bisection inversion of monotone
 functions, ``row_blocks``, which cuts a row-wise reduction into blocks of a
-fixed element budget, and ``split_rows``, which fills the rows of an array
-across the CPUs of the affinity mask.  Everything else in this module is a
-pure function of its inputs and deterministic, so all operations are safe
-to call concurrently.
+fixed element budget, and ``split_rows``, which allocates an array and
+fills its rows across the CPUs of the affinity mask.  Everything else in
+this module is a pure function of its inputs and deterministic, so all
+operations are safe to call concurrently.
 
 Conventions
 -----------
@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import threading
@@ -420,7 +421,7 @@ def row_blocks(n_rows: int, row_size: int, min_rows: int = 1) -> list:
 # row-parallel filling
 # --------------------------------------------------------------------------
 
-# fewest rows worth a worker process.  Forking a 55 MB interpreter, piping
+# fewest rows worth a worker process.  Forking a 55 MB interpreter, copying
 # its rows back and reaping it takes 2.8 ms (2 vCPUs, numpy 2.4.6): the time
 # of about 6 psi quadratures (0.46 ms each) or 6 RK4 trajectories of 50
 # steps on mollified osgood-sum (0.5 ms each), but of about 50 trajectories
@@ -433,60 +434,66 @@ MIN_BLOCK_ROWS = 64
 _splitting = False
 
 
-def split_rows(fill, out: np.ndarray, align: int = 1) -> np.ndarray:
-    """Call ``fill(lo, hi)``, which writes ``out[lo:hi]``, over every row of
-    ``out``, one contiguous block per CPU of the affinity mask.
+def split_rows(fill, shape, align: int = 1) -> np.ndarray:
+    """A float64 array of ``shape`` whose rows ``fill(out, lo, hi)`` writes,
+    ``out[lo:hi]`` at a time, one contiguous block per CPU of the affinity
+    mask.
 
-    Block edges fall on multiples of ``align``.  The first block is filled
-    in this process; each other block is filled in a forked worker, whose
-    rows come back through a pipe straight into ``out``.  ``fill`` must
-    compute each row from its own inputs only, so that ``out`` does not
-    depend on how the rows are cut.
+    Block edges fall on multiples of ``align``.  The result is allocated
+    here with ``np.empty`` and belongs to the caller alone.  The first block
+    is filled into it in this process; each other block is filled by a
+    forked worker into an anonymous shared mapping that lives only for this
+    call, and copied into the result once the worker is reaped.  ``fill``
+    must compute each row from its own inputs only, so that the result does
+    not depend on how the rows are cut.
 
     The CPU count is that of ``os.sched_getaffinity``, so ``taskset``
     limits it; ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
-    ``MKL_NUM_THREADS`` size BLAS thread pools only.  All
-    rows are filled in-process when ``os.fork`` or the affinity mask is
-    unavailable, when another thread is running (forking it is unsafe),
-    when ``out`` is not C-contiguous, inside another ``split_rows`` (a
-    worker never forks) or when a block would hold fewer than
-    ``MIN_BLOCK_ROWS`` rows.  A block whose worker cannot be forked, exits
-    nonzero or comes back short is filled here instead, so any exception
-    ``fill`` raises surfaces from this process, in row order.  Workers leave
-    through ``os._exit`` and are always reaped, also when this process's
-    own block raises.
+    ``MKL_NUM_THREADS`` size BLAS thread pools only.  All rows are filled
+    in-process when ``os.fork`` or the affinity mask is unavailable, when
+    another thread is running (forking it is unsafe), when the mapping
+    cannot be created, inside another ``split_rows`` (a worker never forks)
+    or when a block would hold fewer than ``MIN_BLOCK_ROWS`` rows.  A block
+    whose worker cannot be forked or exits nonzero is filled here instead,
+    so any exception ``fill`` raises surfaces from this process, in row
+    order.  Workers leave through ``os._exit`` and are always reaped, also
+    when this process's own block raises.
     """
     global _splitting
+    out = np.empty(shape)
     edges = _block_edges(len(out), align)
-    if len(edges) < 3 or _splitting or not out.flags.c_contiguous:
-        fill(0, len(out))
+    if len(edges) < 3 or _splitting:
+        fill(out, 0, len(out))
         return out
+    try:
+        scratch = mmap.mmap(-1, out.nbytes)
+    except OSError:
+        fill(out, 0, len(out))
+        return out
+    shared = np.frombuffer(scratch).reshape(out.shape)
     _splitting = True
-    workers = []  # [pid or None, read fd, lo, hi]
+    workers = []  # [pid or None, lo, hi]
     try:
         for lo, hi in zip(edges[1:-1], edges[2:]):
-            workers.append(_fork_block(fill, out, lo, hi, workers))
-        fill(edges[0], edges[1])
+            workers.append([_fork_block(fill, shared, lo, hi), lo, hi])
+        fill(out, edges[0], edges[1])
         for w in workers:
-            pid, fd, lo, hi = w
+            pid, lo, hi = w
             if pid is not None:
-                view = _row_bytes(out, lo, hi)
-                got = _read_into(fd, view)
-                os.close(fd)
-                w[1] = None
                 status = os.waitpid(pid, 0)[1]
                 w[0] = None
-                if got == len(view) and status == 0:
+                if status == 0:
+                    out[lo:hi] = shared[lo:hi]
                     continue
-            fill(lo, hi)
+            fill(out, lo, hi)
     finally:
         _splitting = False
-        for pid, fd, _, _ in workers:
-            if fd is not None:
-                os.close(fd)
+        for pid, _, _ in workers:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        del shared  # the mapping's one view: it closes only without views
+        scratch.close()
     return out
 
 
@@ -506,50 +513,20 @@ def _block_edges(n: int, align: int) -> list:
     return [min(n, units * i // k * align) for i in range(k + 1)]
 
 
-def _fork_block(fill, out, lo, hi, workers) -> list:
-    """A worker filling ``out[lo:hi]`` and writing its bytes to a pipe, as
-    [pid, read fd, lo, hi]; pid None when it cannot be started."""
-    try:
-        fd, wfd = os.pipe()
-    except OSError:
-        return [None, None, lo, hi]
+def _fork_block(fill, shared: np.ndarray, lo: int, hi: int):
+    """Pid of a worker filling ``shared[lo:hi]``; None when it cannot be
+    started."""
     try:
         pid = os.fork()
     except OSError:
-        os.close(fd)
-        os.close(wfd)
-        return [None, None, lo, hi]
+        return None
     if pid == 0:
         # a worker never returns into the caller's stack: it would run the
         # caller's cleanup (atexit handlers, test teardown) a second time
         code = 1
         try:
-            os.close(fd)
-            for w in workers:
-                if w[1] is not None:
-                    os.close(w[1])
-            fill(lo, hi)
-            view = _row_bytes(out, lo, hi)
-            sent = 0
-            while sent < len(view):
-                sent += os.write(wfd, view[sent:])
+            fill(shared, lo, hi)
             code = 0
         finally:
             os._exit(code)
-    os.close(wfd)
-    return [pid, fd, lo, hi]
-
-
-def _row_bytes(out: np.ndarray, lo: int, hi: int) -> memoryview:
-    return memoryview(out[lo:hi]).cast("B")
-
-
-def _read_into(fd: int, view: memoryview) -> int:
-    """Read from ``fd`` into ``view`` until it is full or the pipe ends."""
-    got = 0
-    while got < len(view):
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            break
-        got += n
-    return got
+    return pid

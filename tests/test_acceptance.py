@@ -31,11 +31,11 @@ from rlflab.fields import (
     series_direct,
 )
 from rlflab.flow import integrate_ensemble, sup_distance_rows
-from rlflab.modulus import LOG_BREAK, PsiFunctional, make_modulus
+from rlflab.modulus import LOG_BREAK, ModulusOfContinuity, PsiFunctional
 from rlflab.numerics import ball_measure, grid_integral, make_grid
 
-LIN = make_modulus("linear")
-LOG = make_modulus("log")
+LIN = ModulusOfContinuity("linear")
+LOG = ModulusOfContinuity("log")
 PI2_6 = math.pi**2 / 6.0
 
 

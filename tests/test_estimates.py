@@ -22,7 +22,7 @@ from rlflab.estimates import (
 )
 from rlflab.fields import MollifierKernel, catalog_field, dyadic_radii, mollify
 from rlflab.flow import integrate_ensemble
-from rlflab.modulus import PsiFunctional, make_modulus
+from rlflab.modulus import ModulusOfContinuity, PsiFunctional
 from rlflab.numerics import (
     MEMBERSHIP_SLACK,
     ball_measure,
@@ -31,8 +31,8 @@ from rlflab.numerics import (
 )
 from rlflab.reporting import EstimateReport
 
-LIN = make_modulus("linear")
-LOG = make_modulus("log")
+LIN = ModulusOfContinuity("linear")
+LOG = ModulusOfContinuity("log")
 
 
 def _const_ensembles(values, radius=1.0, h=0.01, horizon=1.0, tau=1e-3, level=None):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -29,7 +30,7 @@ from rlflab.fields import (
     series_deriv_direct,
     series_direct,
 )
-from rlflab.modulus import eval_rho, make_modulus
+from rlflab.modulus import ModulusOfContinuity
 from rlflab.numerics import ball_average, grid_integral, make_grid
 
 PI2_6 = math.pi**2 / 6.0
@@ -87,7 +88,7 @@ class TestSeries:
         # with H the witness headroom; s on a geometric grid of [1e-6, 3]
         s = np.geomspace(1e-6, 3.0, 100_001)
         ratio = np.abs(series_direct(s, K) - series_direct(0.0, K))
-        ratio /= make_modulus("log")(s)
+        ratio /= ModulusOfContinuity("log")(s)
         assert measure_osgood_constant(K) * WITNESS_HEADROOM >= ratio.max()
 
     def test_table_covers_half_period(self):
@@ -238,7 +239,7 @@ class TestCatalog:
         num = np.abs(combined(0.0, pts[ia])[:, 0] - combined(0.0, pts[ib])[:, 0])
         den = (
             combined.witness(0.0, pts[ia]) + combined.witness(0.0, pts[ib])
-        ) * eval_rho(combined.modulus, np.abs(pts[ia, 0] - pts[ib, 0]))
+        ) * combined.modulus(np.abs(pts[ia, 0] - pts[ib, 0]))
         assert np.max(num / den) <= 1.0 + 1e-6
 
 
@@ -284,7 +285,7 @@ class TestMollify:
         wts = kernel.density(zs[:, None], 1) * (2.0 / 8.0 / n_nodes)
         wts /= wts.sum()
         c2 = measure_osgood_constant(1000)
-        bound = c2 * eval_rho(osgood.modulus, 1.0 / 8.0)
+        bound = c2 * osgood.modulus(1.0 / 8.0)
         for x in (0.0, 0.5, 1.0):
             oracle = float(series_direct(x - zs, 1000) @ wts)
             impl = float(moll[8](0.0, np.array([[x]]))[0, 0])
@@ -305,7 +306,7 @@ class TestMollify:
         keep = ia != ib
         ia, ib = ia[keep], ib[keep]
         xa, xb = grid_b1.points[ia], grid_b1.points[ib]
-        sep = eval_rho(osgood.modulus, np.abs(xa[:, 0] - xb[:, 0]))
+        sep = osgood.modulus(np.abs(xa[:, 0] - xb[:, 0]))
         for n, fn in moll.items():
             num = np.abs(fn(0.0, xa)[:, 0] - fn(0.0, xb)[:, 0])
             den = (fn.witness(0.0, xa) + fn.witness(0.0, xb)) * sep
@@ -455,6 +456,12 @@ class TestMaximal:
         assert mf[target] == pytest.approx(best, abs=1e-12)
         # at radius 4 the overlap is 2 over diameter 8
         assert mf[target] >= 0.25 - 0.02
+
+    def test_dyadic_radii_stop_below_the_spacing(self):
+        # a depth past the spacing costs nothing: the radii are the same
+        want = dyadic_radii(2.0, 0.01, 7)
+        assert len(want) == 8 and want[-1] >= 0.01
+        np.testing.assert_array_equal(dyadic_radii(2.0, 0.01, sys.maxsize), want)
 
     def test_2d_constant_and_domination(self):
         grid = make_grid(2, 1.0, 0.1)

@@ -20,6 +20,19 @@ class TestIntegration:
         assert np.max(np.abs(ens.positions[:, :, 0] - exact)) <= 1e-14
         np.testing.assert_array_equal(ens.positions[:, 0, :], grid.points)
 
+    @pytest.mark.parametrize(
+        "horizon, tau, message",
+        [
+            (1.0, 1e-320, "past the float range"),
+            (1e300, 1e-10, "past the float range"),
+            (0.05, 1e-300, r"cannot allocate \(21, 5e\+298, 1\) positions"),
+        ],
+    )
+    def test_step_count_past_range(self, horizon, tau, message):
+        f = catalog_field("constant", 1, value=1.0)
+        with pytest.raises(FlowError, match=message):
+            integrate_ensemble(f, make_grid(1, 1.0, 0.1), horizon, tau)
+
     def test_contraction_endpoint(self):
         f = catalog_field("linear", 1, slope=-1.0)
         grid = make_grid(1, 1.0, 0.1)

@@ -10,37 +10,36 @@ from rlflab.modulus import (
     PSI_DELTA_FLOOR,
     PSI_RATIO_CEILING,
     ModulusError,
+    ModulusOfContinuity,
     PsiFunctional,
-    eval_rho,
-    make_modulus,
 )
 from rlflab.numerics import InversionError, integrate_1d, invert_monotone
 
-LIN = make_modulus("linear")
-LOG = make_modulus("log")
-LOGLOG = make_modulus("loglog")
+LIN = ModulusOfContinuity("linear")
+LOG = ModulusOfContinuity("log")
+LOGLOG = ModulusOfContinuity("loglog")
 
 
 class TestRho:
     def test_linear(self):
-        assert eval_rho(LIN, 0.3) == 0.3
+        assert LIN(0.3) == 0.3
 
     def test_log_breakpoint_value(self):
         e2 = math.exp(-2.0)
         # both branches meet at 2 e^-2
-        assert eval_rho(LOG, e2) == pytest.approx(2.0 * e2, abs=1e-15)
+        assert LOG(e2) == pytest.approx(2.0 * e2, abs=1e-15)
 
     def test_log_above_break(self):
-        assert eval_rho(LOG, 1.0) == pytest.approx(1.0 + math.exp(-2.0))
+        assert LOG(1.0) == pytest.approx(1.0 + math.exp(-2.0))
 
     def test_log_continuity_and_c1(self):
         e2 = LOG_BREAK
         eps = 1e-9
-        left = eval_rho(LOG, e2 - eps)
-        right = eval_rho(LOG, e2 + eps)
+        left = LOG(e2 - eps)
+        right = LOG(e2 + eps)
         assert abs(left - right) <= 1e-8  # continuity through the breakpoint
-        dl = (eval_rho(LOG, e2) - eval_rho(LOG, e2 - eps)) / eps
-        dr = (eval_rho(LOG, e2 + eps) - eval_rho(LOG, e2)) / eps
+        dl = (LOG(e2) - LOG(e2 - eps)) / eps
+        dr = (LOG(e2 + eps) - LOG(e2)) / eps
         assert dl == pytest.approx(1.0, abs=1e-6)
         assert dr == pytest.approx(1.0, abs=1e-6)
 
@@ -53,25 +52,25 @@ class TestRho:
     def test_loglog_c1_continuation(self):
         c0 = LOGLOG_BREAK
         eps = 1e-9
-        assert abs(eval_rho(LOGLOG, c0 - eps) - eval_rho(LOGLOG, c0 + eps)) <= 1e-8
-        dl = (eval_rho(LOGLOG, c0) - eval_rho(LOGLOG, c0 - eps)) / eps
+        assert abs(LOGLOG(c0 - eps) - LOGLOG(c0 + eps)) <= 1e-8
+        dl = (LOGLOG(c0) - LOGLOG(c0 - eps)) / eps
         assert dl == pytest.approx(math.e - 2.0, abs=1e-5)
 
     def test_zero_and_monotone(self):
         for mod in (LIN, LOG, LOGLOG):
-            assert eval_rho(mod, 0.0) == 0.0
+            assert mod(0.0) == 0.0
             mesh = np.linspace(0.0, 2.0, 4001)
-            vals = eval_rho(mod, mesh)
+            vals = mod(mesh)
             assert np.all(np.diff(vals) > 0.0)
 
     def test_log_dominates_identity(self):
         # rho(s) >= s on [0, 1] for the log kind
         mesh = np.linspace(0.0, 1.0, 2001)
-        assert np.all(eval_rho(LOG, mesh) >= mesh)
+        assert np.all(LOG(mesh) >= mesh)
 
     def test_rejects_negative(self):
         with pytest.raises(ModulusError):
-            eval_rho(LOG, -0.1)
+            LOG(-0.1)
 
 
 class TestPsi:
@@ -285,13 +284,13 @@ def test_one_index_path_equals_two_branches(monkeypatch, mod, delta):
     import rlflab.modulus as modulus
 
     meshes = []
-    eval_rho = modulus.eval_rho
+    rho = modulus.ModulusOfContinuity.__call__
 
     def recording(m, s):
         meshes.append(s)
-        return eval_rho(m, s)
+        return rho(m, s)
 
-    monkeypatch.setattr(modulus, "eval_rho", recording)
+    monkeypatch.setattr(modulus.ModulusOfContinuity, "__call__", recording)
     rng = np.random.default_rng(11)
     edges = [0.0, 2e-6, 0.25 - 1e-17, 0.25, 0.25 + 1e-17, 0.2501, 15.9999]
     xs = np.concatenate(
@@ -300,7 +299,7 @@ def test_one_index_path_equals_two_branches(monkeypatch, mod, delta):
     )
     fam = PsiFunctional(mod, delta)
     got = fam.psi_values(xs)
-    vals = 1.0 / (eval_rho(mod, meshes[-1]) + delta)
+    vals = 1.0 / (mod(meshes[-1]) + delta)
     assert np.array_equal(got, two_branch_psi_values(fam, vals, xs))
 
 

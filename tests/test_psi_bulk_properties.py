@@ -16,7 +16,7 @@ The last property is the round trip of the adaptive path through
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rlflab.modulus import PsiFunctional, make_modulus
+from rlflab.modulus import ModulusOfContinuity, PsiFunctional
 
 KINDS = st.sampled_from(["linear", "log", "loglog"])
 DELTAS = st.floats(np.log10(2e-3), 1.0).map(lambda e: 10.0**e)
@@ -28,7 +28,7 @@ FAST = settings(max_examples=30, deadline=None)
 
 
 def bulk(kind, delta, xs):
-    fam = PsiFunctional(make_modulus(kind), delta)
+    fam = PsiFunctional(ModulusOfContinuity(kind), delta)
     return fam, fam.psi_values(np.asarray(xs, dtype=np.float64))
 
 
@@ -74,7 +74,7 @@ def test_inverse_round_trip(kind, delta, xi):
     # invert_monotone stops within tol of the target t = psi(xi).  psi is
     # within quad_tol of psi_delta, whose inverse has slope rho + delta, at
     # most rho(max(x, xi)) + delta between the two points.
-    fam = PsiFunctional(make_modulus(kind), delta)
+    fam = PsiFunctional(ModulusOfContinuity(kind), delta)
     tol = 1e-10
     t = fam.psi(xi)
     x = fam.psi_inverse(t, tol=tol)

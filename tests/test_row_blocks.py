@@ -31,7 +31,7 @@ from rlflab.flow import (
     sup_distance,
     sup_distance_rows,
 )
-from rlflab.modulus import PsiFunctional, make_modulus
+from rlflab.modulus import ModulusOfContinuity, PsiFunctional
 from rlflab.numerics import BLOCK_ELEMENTS, MEMBERSHIP_SLACK, make_grid, row_blocks
 
 MiB = 2**20
@@ -149,7 +149,7 @@ class TestBlockEdges:
         "n", [0, 1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1]
     )
     def test_psi_values(self, n):
-        fam = PsiFunctional(make_modulus("log"), 0.01)
+        fam = PsiFunctional(ModulusOfContinuity("log"), 0.01)
         xs = np.random.default_rng(n).uniform(0.0, 2.0, n)
         fam.psi_values(np.array([2.0]))  # one table serves every call
         got = fam.psi_values(xs)
@@ -178,7 +178,7 @@ class TestBlockEdges:
         keep = t != s
         t, s = t[keep], s[keep]
         gap = np.abs(series_direct(t, 40) - series_direct(s, 40))
-        want = (gap / make_modulus("log")(np.abs(t - s))).max()
+        want = (gap / ModulusOfContinuity("log")(np.abs(t - s))).max()
         assert measure_osgood_constant.__wrapped__(40) == want
 
 
@@ -206,7 +206,7 @@ class TestPeakMemory:
         # peaked at 21 MiB
         ens = synthetic_ensemble(1, 1.1, 0.01, 2001, nan=False)
         (rows, q_sup), peak = traced_peak(
-            lambda: _q_sweep(ens, make_modulus("log"), [0.05], 1.0)
+            lambda: _q_sweep(ens, ModulusOfContinuity("log"), [0.05], 1.0)
         )
         assert len(rows) == 201 and np.all(q_sup > 0.0)
         assert peak < 8 * MiB
@@ -230,7 +230,7 @@ class TestPeakMemory:
         # a 1e6-point lookup allocates its result and one block; the
         # unblocked lookup held ten temporaries of the input's length and
         # peaked at 70 MiB
-        fam = PsiFunctional(make_modulus("log"), 0.01)
+        fam = PsiFunctional(ModulusOfContinuity("log"), 0.01)
         xs = np.linspace(0.0, 3.0, 1_000_000)
         fam.psi_values(xs)
         _, peak = traced_peak(lambda: fam.psi_values(xs))
@@ -238,9 +238,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("kind", ["linear", "log", "loglog"])
     def test_psi_table_build(self, kind):
-        # below four arrays of the mesh length (eval_rho's temporaries
+        # below four arrays of the mesh length (rho's own temporaries
         # included); the unblocked build held seven
-        fam = PsiFunctional(make_modulus(kind), 0.01)
+        fam = PsiFunctional(ModulusOfContinuity(kind), 0.01)
         _, peak = traced_peak(lambda: fam._build_table(3.0))
         assert peak < 4 * 8 * len(fam._table["cum"])
 
@@ -248,7 +248,7 @@ class TestPeakMemory:
     def test_psi_table_rebuild(self, kind):
         # a query past the table rebuilds it after freeing the old one; the
         # old table alive next to the build took the peak to 5.1 arrays
-        fam = PsiFunctional(make_modulus(kind), 0.01)
+        fam = PsiFunctional(ModulusOfContinuity(kind), 0.01)
 
         def first_and_rebuild():
             fam.psi_values(np.array([3.0]))

@@ -5,6 +5,7 @@ CPU counts are faked by replacing ``os.sched_getaffinity``, so each case
 forks the same number of workers on any host.
 """
 
+import mmap
 import os
 import subprocess
 import sys
@@ -29,11 +30,8 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(numerics, "MIN_BLOCK_ROWS", 1)
 
 
-def fill_pids(out):
-    def fill(lo, hi):
-        out[lo:hi] = os.getpid()
-
-    return fill
+def fill_pids(out, lo, hi):
+    out[lo:hi] = os.getpid()
 
 
 class TestEnsembles:
@@ -74,8 +72,7 @@ def test_tail_table_split_equals_unsplit(monkeypatch, tmp_path):
 class TestSplitRows:
     def test_one_block_per_cpu(self, monkeypatch, small_blocks):
         fake_cpus(monkeypatch, 3)
-        out = np.zeros((30, 2, 2))
-        split_rows(fill_pids(out), out, align=4)
+        out = split_rows(fill_pids, (30, 2, 2), align=4)
         pids = out[:, 0, 0]
         assert (out == pids[:, None, None]).all()  # whole rows per block
         edges = np.flatnonzero(np.diff(pids)) + 1
@@ -85,15 +82,13 @@ class TestSplitRows:
     def test_worker_failure_is_refilled_here(self, monkeypatch, small_blocks):
         fake_cpus(monkeypatch, 3)
         parent = os.getpid()
-        out = np.zeros(90)
 
-        def fill(lo, hi):
+        def fill(out, lo, hi):
             if os.getpid() != parent:
                 raise RuntimeError("worker only")
             out[lo:hi] = np.arange(lo, hi)
 
-        split_rows(fill, out)
-        np.testing.assert_array_equal(out, np.arange(90))
+        np.testing.assert_array_equal(split_rows(fill, 90), np.arange(90))
 
     def test_fork_failure_runs_in_process(self, monkeypatch, small_blocks):
         fake_cpus(monkeypatch, 3)
@@ -102,22 +97,43 @@ class TestSplitRows:
             raise OSError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        out = np.zeros(90)
-        split_rows(fill_pids(out), out)
-        assert set(out) == {os.getpid()}
+        assert set(split_rows(fill_pids, 90)) == {os.getpid()}
+
+    def test_mapping_failure_runs_in_process(self, monkeypatch, small_blocks):
+        fake_cpus(monkeypatch, 3)
+
+        def no_mapping(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_mapping)
+        assert set(split_rows(fill_pids, 90)) == {os.getpid()}
+
+    def test_result_is_private(self, monkeypatch, small_blocks):
+        # neither the caller's later forks nor the workers share its pages
+        fake_cpus(monkeypatch, 3)
+        out = split_rows(fill_pids, 90)
+        want = out.copy()
+        assert len(set(want)) == 3
+        pid = os.fork()
+        if pid == 0:
+            try:
+                out[:] = -1.0
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        np.testing.assert_array_equal(out, want)
 
     def test_parent_failure_propagates_and_reaps(self, monkeypatch, small_blocks):
         fake_cpus(monkeypatch, 3)
         parent = os.getpid()
-        out = np.zeros(90)
 
-        def fill(lo, hi):
+        def fill(out, lo, hi):
             if os.getpid() == parent:
                 raise RuntimeError("parent block")
             out[lo:hi] = 1.0
 
         with pytest.raises(RuntimeError, match="parent block"):
-            split_rows(fill, out)
+            split_rows(fill, 90)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -127,8 +143,7 @@ class TestSplitRows:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            out = np.zeros(90)
-            split_rows(fill_pids(out), out)
+            out = split_rows(fill_pids, 90)
         finally:
             stop.set()
             thread.join()
@@ -136,21 +151,19 @@ class TestSplitRows:
 
     def test_small_arrays_stay_in_process(self, monkeypatch):
         fake_cpus(monkeypatch, 3)
-        out = np.zeros(2 * numerics.MIN_BLOCK_ROWS - 1)
-        split_rows(fill_pids(out), out)
+        out = split_rows(fill_pids, 2 * numerics.MIN_BLOCK_ROWS - 1)
         assert set(out) == {os.getpid()}
 
     def test_workers_never_run_exit_handlers(self):
         script = (
-            "import atexit, os, numpy as np\n"
+            "import atexit, os\n"
             "from rlflab import numerics\n"
             "atexit.register(print, 'exit handler')\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "numerics.MIN_BLOCK_ROWS = 1\n"
-            "out = np.zeros(9)\n"
-            "def fill(lo, hi):\n"
+            "def fill(out, lo, hi):\n"
             "    out[lo:hi] = os.getpid()\n"
-            "numerics.split_rows(fill, out)\n"
+            "out = numerics.split_rows(fill, 9)\n"
             "assert len(set(out)) == 3\n"
         )
         env = dict(os.environ)
