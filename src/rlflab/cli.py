@@ -341,6 +341,8 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
         raise ConfigError(f"unknown suite {suite!r}; options: {', '.join(SUITES)}")
     if suite in ("cauchy", "all") and len(cfg.levels) < 3:
         raise ConfigError("the cauchy suite needs at least 3 levels")
+    if suite == "stability" and len(cfg.levels) < 2:
+        raise ConfigError("the stability suite needs at least 2 levels")
     chosen = SUITES[:-1] if suite == "all" else (suite,)
     one_d = [name for name in chosen if name in D1_SUITES]
     if cfg.d != 1 and one_d:

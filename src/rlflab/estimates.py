@@ -18,7 +18,10 @@ Verdicts use multiplicative slack (default 5%) plus a declared additive
 budget assembled from the discretization parameters (grid spacing, series
 truncation, integrator step).  The right sides are computed from recorded
 sup bounds and analytic divergence data, both of which are conservative, so
-a passing verdict never leans on an optimistic constant.
+a passing verdict never leans on an optimistic constant.  Every field
+carries its witness, modulus and divergence, so each estimate reads them
+directly.  ``_report`` builds every report and refuses a non-finite side or
+constant, so no verdict rests on an infinite or NaN quantity.
 """
 
 from __future__ import annotations
@@ -90,20 +93,25 @@ def _report(
     slack: float,
     additive: float = 0.0,
 ) -> EstimateReport:
-    """The report with float sides, slack and budget; a non-finite side is
-    raised as an EstimateError that names the estimate, the side and the
-    non-finite constants."""
+    """The report with float sides, slack and budget; a non-finite side, or
+    float constant or list entry, is raised as an EstimateError that names
+    the estimate and the culprits, so every report is valid JSON."""
+    culprits = ", ".join(
+        name
+        for name, c in constants.items()
+        if any(
+            isinstance(v, float) and not math.isfinite(v)
+            for v in (c if isinstance(c, list) else [c])
+        )
+    )
     for side, value in (("lhs", lhs), ("rhs", rhs)):
         if not math.isfinite(value):
-            culprits = [
-                name
-                for name, c in constants.items()
-                if isinstance(c, float) and not math.isfinite(c)
-            ]
             raise EstimateError(
                 f"{estimate_id} {side} is {value}"
-                + (f" (non-finite: {', '.join(culprits)})" if culprits else "")
+                + (f" (non-finite: {culprits})" if culprits else "")
             )
+    if culprits:
+        raise EstimateError(f"{estimate_id} has non-finite {culprits}")
     return EstimateReport(
         estimate_id, float(lhs), float(rhs), constants, metadata,
         float(slack), float(additive),
@@ -155,7 +163,7 @@ def field_l1_distance(
 
 def witness_l1_norm(field: VectorField, times, grid: PointGrid) -> float:
     """||g||_L1([t0, t1] x grid ball) of ``field``'s witness g."""
-    witness = _require_witness(field)
+    witness = field.witness
     return _l1_in_time(lambda t, pts: np.abs(witness(t, pts)), times, grid)
 
 
@@ -180,18 +188,6 @@ def _witness_norm(field: VectorField, times, grid: PointGrid) -> float:
         grid,
         lambda: witness_l1_norm(field, times, grid),
     )
-
-
-def _require_witness(field: VectorField):
-    if field.witness is None:
-        raise EstimateError(f"field {field.catalog_id!r} carries no witness")
-    return field.witness
-
-
-def _require_modulus(field: VectorField) -> ModulusOfContinuity:
-    if field.modulus is None:
-        raise EstimateError(f"field {field.catalog_id!r} carries no modulus")
-    return field.modulus
 
 
 def _offset_distances(ensemble: TrajectoryEnsemble, rows, radius: float):
@@ -277,11 +273,8 @@ def stability_report(
     """
     if not ens_a.same_mesh(ens_b):
         raise EstimateError("ensembles must share grid and mesh")
-    modulus = _require_modulus(field_a)
-    cross = (
-        field_b.modulus is not None
-        and field_b.modulus.kind != modulus.kind
-    )
+    modulus = field_a.modulus
+    cross = field_b.modulus != modulus
     horizon = ens_a.horizon
     grid = ens_a.grid
     if grid.radius < region_radius * (1.0 - MEMBERSHIP_SLACK):
@@ -367,8 +360,7 @@ def cauchy_diagnostic(
             raise EstimateError("ensembles must share a common mesh")
     if not eta > 0.0:
         raise EstimateError("eta must be positive")
-    modulus = _require_modulus(base_field)
-    _require_witness(base_field)
+    modulus = base_field.modulus
     horizon = first.horizon
     grid = first.grid
     r_bar = region_radius + horizon * base_field.sup_bound
@@ -540,8 +532,8 @@ def regularity_set(
     elements each, and so do a Q sweep's sum and offset distances.
     """
     grid = ensemble.grid
-    modulus = _require_modulus(field)
-    witness = _require_witness(field)
+    modulus = field.modulus
+    witness = field.witness
     d = grid.dimension
     region_measure = ball_measure(d, region_radius)
     if not 0.0 < epsilon < region_measure:
@@ -665,10 +657,8 @@ def compactness_a(
     if not 0.0 < radius < region_radius / 2.0:
         raise EstimateError("need 0 < r < R/2")
     grid = ensemble.grid
-    modulus = _require_modulus(field)
-    _require_witness(field)
     horizon = ensemble.horizon
-    _, q_sup = _q_sweep(ensemble, modulus, [radius], region_radius)
+    _, q_sup = _q_sweep(ensemble, field.modulus, [radius], region_radius)
     lhs = float(np.sum(q_sup) * grid.cell_volume)
 
     r_bar = 1.5 * region_radius + 2.0 * horizon * field.sup_bound

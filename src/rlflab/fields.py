@@ -18,13 +18,16 @@ A witness g certifies the hybrid continuity bound
 
     |b_t(x) - b_t(y)| <= (g_t(x) + g_t(y)) rho(|x - y|)
 
-off declared singular zones.  A witness is a plain function
-``g(t, pts (n, d)) -> (n,)``: the estimates read it only through its values
-and its L1 norm (``estimates.witness_l1_norm``).  Measured witness constants
-are inflated by a small headroom factor (1.5%) so that the certificate also
-covers pairs that the finite calibration sample missed; the raw constants
-are the return values of ``measure_osgood_constant`` (cached per term count)
-and ``calibrate_witness_constant``, and a field keeps only its witness.
+off the singular points that calibration excludes.  A witness is a plain
+function ``g(t, pts (n, d)) -> (n,)``: the estimates read it only through
+its values and its L1 norm (``estimates.witness_l1_norm``).  Every field is
+built with its witness g, its modulus rho and its divergence, so no estimate
+meets a field without them.  Measured witness constants are inflated by a
+small headroom factor (1.5%) so that the certificate also covers pairs that
+the finite calibration sample missed; the raw constants are the return
+values of ``measure_osgood_constant`` (cached per term count) and
+``calibrate_witness_constant``, which also returns the witness, and a field
+keeps only its witness.
 
 Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
@@ -451,29 +454,30 @@ class MollifierKernel:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Bounded vector field with witness and divergence data.
+    """Bounded vector field with its witness, modulus and divergence.
 
     ``evaluator(t, pts)`` maps an (n, d) array of points to (n, d)
     velocities, and ``witness(t, pts)`` to (n,) witness values.
-    ``sup_bound`` must be finite.  ``div_evaluator`` is the catalog's
-    analytic divergence, or, on a mollified field, the central difference at
-    ``FD_DIV_STEP`` that ``mollify`` sets.  ``series`` and ``parts`` only
-    tell ``mollify`` how to convolve the field.  ``terms`` is the series
-    truncation K of a field built on V_K (report metadata K and the
-    truncation budget), None for the others.  Catalog fields do not depend
-    on t, but every interface carries it.
+    ``sup_bound`` must be finite.  ``witness``, ``modulus`` and
+    ``div_evaluator`` are required: every estimate reads them.
+    ``div_evaluator`` is the catalog's analytic divergence, or, on a
+    mollified field, the central difference at ``FD_DIV_STEP`` that
+    ``mollify`` sets.  ``series`` and ``parts`` only tell ``mollify`` how
+    to convolve the field.  ``terms`` is the series truncation K of a field
+    built on V_K (report metadata K and the truncation budget), None for the
+    others.  Catalog fields do not depend on t, but every interface carries
+    it.
     """
 
     dimension: int
     catalog_id: str
     sup_bound: float
     evaluator: object
+    witness: object
+    modulus: ModulusOfContinuity
+    div_evaluator: object
     terms: int | None = None
-    witness: object | None = None
-    modulus: ModulusOfContinuity | None = None
-    div_evaluator: object | None = None
     mollification_level: int | None = None
-    singular_points: tuple = ()
     # set when component i is series(x_i), so that mollify can convolve
     # each component in closed form
     series: SeriesEvaluator | None = None
@@ -503,8 +507,6 @@ class VectorField:
         return np.asarray(self.evaluator(t, pts), dtype=np.float64)
 
     def divergence(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.div_evaluator is None:
-            raise FieldError("field has no divergence")
         return np.asarray(self.div_evaluator(t, np.asarray(pts, np.float64)))
 
     def speed(self, t: float, pts: np.ndarray) -> np.ndarray:
@@ -646,7 +648,12 @@ def _sobolev_profile(pts: np.ndarray, alpha: float, cap: float):
     np.minimum(out, cap, out=out)
     bad = ~np.isfinite(r)
     if bad.any():
-        out[bad] = np.nan
+        # the sum of squares overflows past about 1.3e154, where hypot does
+        # not: only rows with a non-finite coordinate give NaN
+        big = bad & np.isfinite(pts).all(axis=1)
+        r[big] = np.hypot.reduce(pts[big], axis=1)
+        out[big] = np.minimum(np.power(r[big], -alpha), cap)
+        out[bad & ~big] = np.nan
     return out, r
 
 
@@ -695,21 +702,24 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
     def grad_fn(t, pts):
         return _sobolev_grad(pts, alpha, r_cap)
 
-    base = VectorField(
+    grid = make_grid(dimension, SOBOLEV_CAL_RADIUS, SOBOLEV_CAL_SPACING)
+    _, witness = calibrate_witness_constant(
+        ev,
+        grid,
+        grad_fn,
+        SOBOLEV_CAL_PAIRS,
+        seed=SOBOLEV_CAL_SEED,
+        singular_points=((0.0,) * dimension,),
+    )
+    return VectorField(
         dimension,
         "sobolev-singular",
         cap,
         ev,
-        witness=None,
+        witness=witness,
         modulus=ModulusOfContinuity("linear"),
         div_evaluator=div,
-        singular_points=(tuple([0.0] * dimension),),
     )
-    grid = make_grid(dimension, SOBOLEV_CAL_RADIUS, SOBOLEV_CAL_SPACING)
-    _, calibrated = calibrate_witness_constant(
-        base, grid, grad_fn, SOBOLEV_CAL_PAIRS, seed=SOBOLEV_CAL_SEED
-    )
-    return calibrated
 
 
 def _summed(parts):
@@ -746,7 +756,6 @@ def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
         witness=g,
         modulus=osc.modulus,
         div_evaluator=div,
-        singular_points=sob.singular_points,
         parts=(sob, osc),
     )
 
@@ -928,12 +937,10 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     else:
         evaluator = convolved(field.evaluator, d)
         div = _central_divergence(evaluator, d)
-    witness = None
-    if field.witness is not None:
-        g = convolved(field.witness, 1)
+    g = convolved(field.witness, 1)
 
-        def witness(t, pts):
-            return g(t, pts)[:, 0]
+    def witness(t, pts):
+        return g(t, pts)[:, 0]
 
     return replace(
         field,
@@ -941,7 +948,6 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
         witness=witness,
         div_evaluator=div,
         mollification_level=kernel.level,
-        singular_points=(),
         series=None,
         parts=(),
     )
@@ -970,8 +976,8 @@ def _central_divergence(ev, dimension: int):
 
 
 def divergence_negative_part(field: VectorField, grid: PointGrid) -> float:
-    """Sup over the grid of max(0, -div b) at t = 0, from ``field.divergence``
-    (a field without a divergence raises)."""
+    """Sup over the grid of max(0, -div b) at t = 0, from
+    ``field.divergence``."""
     div = field.divergence(0.0, grid.points)
     return max(0.0, float(np.max(-div)))
 
@@ -1085,20 +1091,20 @@ def maximal_function(
 
 
 def calibrate_witness_constant(
-    field: VectorField, grid: PointGrid, grad_fn, n_pairs: int, seed: int = 0
+    b, grid: PointGrid, grad_fn, n_pairs: int, seed=0, singular_points=()
 ):
     """Empirical constant for the maximal-function continuity bound.
 
     Measures  max |b(x)-b(y)| / (|x-y| (M|grad b|(x) + M|grad b|(y)))  over
-    sampled grid-point pairs, with |grad b| the function ``grad_fn(t, pts)``
-    read at t = 0 on the grid, excluding pairs within
-    ``SINGULAR_EXCLUSION * h`` of declared singular points.  The sample
-    mixes uniform pairs with short-range pairs (offsets of a few grid
-    cells); the ratio sup lives on near-diagonal pairs, so the mixture keeps
-    the sampled max stable across seeds.  Pairs with zero difference
-    contribute a zero ratio; pairs with positive difference but zero
-    denominator are skipped.  Returns the raw constant and a copy of the
-    field carrying the calibrated witness
+    sampled grid-point pairs, with b any field callable ``b(t, pts)`` and
+    |grad b| the function ``grad_fn(t, pts)``, both read at t = 0 on the
+    grid, excluding pairs within ``SINGULAR_EXCLUSION * h`` of the points
+    ``singular_points``.  The sample mixes uniform pairs with short-range
+    pairs (offsets of a few grid cells); the ratio sup lives on
+    near-diagonal pairs, so the mixture keeps the sampled max stable across
+    seeds.  Pairs with zero difference contribute a zero ratio; pairs with
+    positive difference but zero denominator are skipped.  Returns the raw
+    constant c_hat and the calibrated witness
     g = c_hat * WITNESS_HEADROOM * M|grad b|  (the headroom covers the
     sampling density).
     """
@@ -1114,18 +1120,15 @@ def calibrate_witness_constant(
     ia = np.concatenate([ia_u, ia_s])
     ib = np.concatenate([ib_u, ib_s])
     keep = ia != ib
-    if field.singular_points:
-        zone = SINGULAR_EXCLUSION * grid.spacing
-        for s in field.singular_points:
-            sp = np.asarray(s, dtype=np.float64)
-            da = np.sqrt(np.sum((grid.points[ia] - sp) ** 2, axis=1))
-            db = np.sqrt(np.sum((grid.points[ib] - sp) ** 2, axis=1))
-            keep &= (da > zone) & (db > zone)
+    zone = SINGULAR_EXCLUSION * grid.spacing
+    for s in singular_points:
+        sp = np.asarray(s, dtype=np.float64)
+        da = np.sqrt(np.sum((grid.points[ia] - sp) ** 2, axis=1))
+        db = np.sqrt(np.sum((grid.points[ib] - sp) ** 2, axis=1))
+        keep &= (da > zone) & (db > zone)
     ia, ib = ia[keep], ib[keep]
     xa, xb = grid.points[ia], grid.points[ib]
-    num = np.sqrt(
-        np.sum((field(0.0, xa) - field(0.0, xb)) ** 2, axis=1)
-    )
+    num = np.sqrt(np.sum((b(0.0, xa) - b(0.0, xb)) ** 2, axis=1))
     dist = np.sqrt(np.sum((xa - xb) ** 2, axis=1))
     den = dist * (m_grad[ia] + m_grad[ib])
     ratios = np.zeros_like(num)
@@ -1136,9 +1139,8 @@ def calibrate_witness_constant(
     if skipped.all() or len(num) == 0:
         raise CalibrationError("all sampled pairs were skipped")
     c_hat = float(ratios.max()) if len(ratios) else 0.0
-
-    witness = _maximal_witness(grid, m_grad, c_hat * WITNESS_HEADROOM, grad_fn)
-    return c_hat, replace(field, witness=witness)
+    scale = c_hat * WITNESS_HEADROOM
+    return c_hat, _maximal_witness(grid, m_grad, scale, grad_fn)
 
 
 def _near_pairs(grid: PointGrid, n: int, rng):

@@ -3,7 +3,8 @@ verdict, and enough metadata to reproduce the run.
 
 Every quantitative check in the laboratory funnels through
 :class:`EstimateReport`, built by ``estimates`` alone, which refuses a
-non-finite side and passes plain floats.  A verdict passes when
+non-finite side or constant and passes plain python values, so each report
+is valid JSON as it stands.  A verdict passes when
 
     lhs <= rhs * (1 + slack) + additive
 
@@ -64,8 +65,8 @@ class EstimateReport:
             "slack": self.slack,
             "additive": self.additive,
             "verdict": self.verdict,
-            "constants": _plain(self.constants),
-            "metadata": _plain(self.metadata),
+            "constants": self.constants,
+            "metadata": self.metadata,
         }
 
     def to_json(self) -> str:
@@ -96,17 +97,3 @@ def reports_to_csv(rows: list[tuple[str, "EstimateReport"]]) -> str:
         lines.append(",".join(report.csv_row(suite)))
     return "\n".join(lines) + "\n"
 
-
-def _plain(obj):
-    """Coerce numpy scalars and arrays to JSON-friendly plain python."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    return str(obj)

@@ -174,6 +174,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, "cauchy")
 
+    def test_stability_needs_two_levels(self, tmp_path, capsys):
+        # one level has no pair: refused, not a run that writes nothing
+        path = write_config(
+            tmp_path,
+            "terms = 100\nT = 0.05\nlevels = 4\nh = 0.05\ntau = 0.01\n",
+        )
+        out = tmp_path / "out"
+        code = main(["run", "--config", path, "--suite", "stability",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: the stability suite needs at least 2 levels\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "suite", ["regularity", "compactness", "weak-type", "all"]
     )
@@ -657,6 +673,20 @@ class TestNonFiniteInputs:
             "error: EstimateError: thm31 rhs is inf (non-finite: L, L_tilde)\n"
         )
 
+    def test_infinite_threshold_exits_two(self, tmp_path, capsys):
+        # C_bar / epsilon overflows: the thm41 threshold is inf while both
+        # sides stay finite, so the report is refused, not written
+        path = write_config(
+            tmp_path,
+            "field = linear\nepsilon = 1e-320\nh = 0.05\ntau = 0.01\n"
+            "T = 0.1\nlevels = 4,8\n",
+        )
+        code = main(["run", "--config", path, "--suite", "regularity",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: EstimateError: thm41 has non-finite threshold\n"
+
 
 class TestEnsemblePlan:
     """One RK4 integration per level, on the widest ball the suites read."""
@@ -748,3 +778,10 @@ class TestFullPipeline:
         assert "stability_lhs_rhs.svg" in plots
         assert "cauchy_decay.svg" in plots
         assert "translation_g.svg" in plots
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        # strict JSON: no Infinity or NaN in any report
+        for report in (tmp_path / "out" / "reports").iterdir():
+            json.loads(report.read_text(), parse_constant=refuse)

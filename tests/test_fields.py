@@ -179,8 +179,9 @@ class TestCatalog:
 
     @pytest.mark.parametrize("d, alpha", [(1, 0.3), (2, 0.3), (2, 1.5)])
     def test_sobolev_profile_matches_gather_formula(self, d, alpha):
-        # min(r^-alpha, cap) off the origin, cap at it, NaN where r is not
-        # finite, as the masked gather-and-scatter form computes it
+        # min(r^-alpha, cap) off the origin, cap at it, NaN where a
+        # coordinate is not finite, as the masked gather-and-scatter form
+        # computes it; r is the hypot where the sum of squares overflows
         cap = 10.0
         r_cap = cap ** (-1.0 / alpha)
         radii = [
@@ -200,6 +201,8 @@ class TestCatalog:
         pts = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.sqrt(np.sum(pts * pts, axis=1))
+            over = ~np.isfinite(r) & np.isfinite(pts).all(axis=1)
+            r[over] = np.hypot.reduce(pts[over], axis=1)
             want = np.full_like(r, cap)
             pos = r > 0.0
             want[pos] = np.minimum(r[pos] ** (-alpha), cap)
@@ -210,6 +213,17 @@ class TestCatalog:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # r = 0 warns of no division
             assert _sobolev_profile(np.zeros((1, d)), alpha, cap)[0][0] == cap
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sobolev_finite_far_out(self, d):
+        # |x|^-alpha = 1e-90 at |x| = 1e300, past where |x|^2 overflows
+        field = catalog_field("sobolev-singular", d)
+        pts = np.zeros((2, d))
+        pts[:, 0] = [1e300, -1e300]
+        with np.errstate(over="ignore"):
+            vals = field(0.0, pts)
+        np.testing.assert_allclose(vals[:, 0], 1e-90, rtol=1e-12)
+        assert np.all(vals[:, 1:] == 0.0)
 
     def test_linear_inside_flat_region(self, linear_contracting):
         x = np.array([[0.5], [-1.0], [2.0]])
@@ -415,12 +429,6 @@ class TestDivergence:
         ).reshape(10, len(wn)) @ wn
         fd = moll[16].divergence(0.0, xs)
         assert np.max(np.abs(fd - oracle)) <= 1e-3
-
-    def test_unsupported_field(self):
-        f = catalog_field("constant", 1)
-        bare = replace(f, div_evaluator=None)
-        with pytest.raises(FieldError):
-            divergence_negative_part(bare, make_grid(1, 1.0, 0.1))
 
 
 class TestMaximal:
