@@ -35,7 +35,7 @@ from .estimates import (
 from .fields import CATALOG, FieldError, MollifierKernel, catalog_field, mollify
 from .flow import FlowError, integrate_ensemble
 from .modulus import NAMED_KINDS, ModulusError, ModulusOfContinuity, PsiFunctional
-from .numerics import NumericsError, ball_measure, make_grid
+from .numerics import NumericsError, ball_measure, make_grid, row_norms
 from .reporting import reports_to_csv
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 SUITES = ("stability", "cauchy", "regularity", "compactness", "weak-type", "all")
-# d = 1 only: no d > 1 end-to-end run is verified, weak-type battery is 1-d
-D1_SUITES = ("regularity", "compactness", "weak-type")
 # radii, in units of R, of the balls each suite starts trajectories on:
 # (every level, the top level); 0 reads none
 SUITE_REACH = {
@@ -313,17 +311,19 @@ def _compactness_suite(pipe: _Pipeline):
 
 
 def _weak_type_suite(pipe: _Pipeline):
+    """lemma23 on B(R + lambda) in the run's dimension, over functions of
+    r = |x|; ``singular_speed`` is the 1-D ``sobolev-singular`` speed at r."""
     cfg = pipe.cfg
     region, lam = cfg.R, cfg.R
-    grid = make_grid(1, region + lam, cfg.h)
-    x = grid.coords()
+    grid = make_grid(cfg.d, region + lam, cfg.h)
+    r = row_norms(grid.points)
     profile = catalog_field("sobolev-singular", 1)
     battery = [
-        ("indicator_wide", (np.abs(x) <= 1.0).astype(float)),
-        ("indicator_narrow", (np.abs(x) <= 0.5).astype(float)),
-        ("constant_1.01", np.full_like(x, 1.01)),
-        ("constant_0.505", np.full_like(x, 0.505)),
-        ("singular_speed", profile.speed(0.0, grid.points)),
+        ("indicator_wide", (r <= 1.0).astype(float)),
+        ("indicator_narrow", (r <= 0.5).astype(float)),
+        ("constant_1.01", np.full_like(r, 1.01)),
+        ("constant_0.505", np.full_like(r, 0.505)),
+        ("singular_speed", profile.speed(0.0, r[:, None])),
     ]
     alphas = [2.0**-k for k in range(7)]
     reports = []
@@ -344,12 +344,6 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
     if suite == "stability" and len(cfg.levels) < 2:
         raise ConfigError("the stability suite needs at least 2 levels")
     chosen = SUITES[:-1] if suite == "all" else (suite,)
-    one_d = [name for name in chosen if name in D1_SUITES]
-    if cfg.d != 1 and one_d:
-        raise ConfigError(
-            f"the {suite} suite needs d = 1, config has d = {cfg.d} "
-            f"({', '.join(one_d)} implemented for d = 1 only)"
-        )
     out = cfg.out
     try:
         os.makedirs(os.path.join(out, "reports"), exist_ok=True)

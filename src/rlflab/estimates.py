@@ -47,6 +47,7 @@ from .numerics import (
     grid_integral,
     make_grid,
     row_blocks,
+    row_norms,
     split_rows,
 )
 from .reporting import EstimateReport
@@ -155,8 +156,7 @@ def field_l1_distance(
     """||b - b~||_L1([t0, t1] x grid ball)."""
 
     def gap(t, pts):
-        diff = fa(t, pts) - fb(t, pts)
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return row_norms(fa(t, pts) - fb(t, pts))
 
     return _l1_in_time(gap, times, grid)
 
@@ -440,7 +440,7 @@ def regularity_Q(
     mask = grid.ball_mask(radius, grid.points - x)
     xt = ensemble.positions[hit[0], ti, :]
     yt = ensemble.positions[mask, ti, :]
-    dist = np.sqrt(np.sum((yt - xt[None, :]) ** 2, axis=1))
+    dist = row_norms(yt - xt[None, :])
     psi = PsiFunctional(modulus, float(radius))
     return float(psi.psi_values(dist).mean())
 

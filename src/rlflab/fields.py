@@ -79,6 +79,7 @@ from .numerics import (
     integrate_1d,
     make_grid,
     row_blocks,
+    row_norms,
     split_rows,
 )
 
@@ -411,7 +412,7 @@ class MollifierKernel:
     def density(self, z: np.ndarray, dimension: int) -> np.ndarray:
         """Scaled kernel density chi_n at points z of shape (m, d)."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        r = np.sqrt(np.sum((self.level * z) ** 2, axis=1))
+        r = row_norms(self.level * z)
         c = _bump_normalizer(dimension)
         vals = np.zeros_like(r)
         inside = r < 1.0
@@ -510,7 +511,7 @@ class VectorField:
         return np.asarray(self.div_evaluator(t, np.asarray(pts, np.float64)))
 
     def speed(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(self(t, pts) ** 2, axis=1))
+        return row_norms(self(t, pts))
 
 
 def measured_once(field: VectorField, key, grid: PointGrid, measure, other=None):
@@ -584,16 +585,16 @@ def _make_linear(dimension, slope=-1.0):
     tr = float(np.trace(A))
 
     def ev(t, pts):
-        s = np.sqrt(np.sum(pts * pts, axis=1))
+        s = row_norms(pts)
         theta, _ = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
         return (pts @ A.T) * theta[:, None]
 
     def div(t, pts):
-        s = np.sqrt(np.sum(pts * pts, axis=1))
+        s = row_norms(pts)
         theta, dtheta = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
         ax = pts @ A.T
         radial = np.zeros_like(s)
-        pos = s > 0.0
+        pos = dtheta != 0.0  # the blend shell, where s > 0 and x.Ax is finite
         radial[pos] = np.sum(ax[pos] * pts[pos], axis=1) / s[pos]
         return tr * theta + dtheta * radial
 
@@ -642,27 +643,23 @@ def _make_osgood_sum(dimension, terms=1000):
 
 
 def _sobolev_profile(pts: np.ndarray, alpha: float, cap: float):
-    r = np.sqrt(np.sum(pts * pts, axis=1))
+    """min(r^-alpha, cap) and r = |x| per row; NaN where r is not finite."""
+    r = row_norms(pts)
     with np.errstate(divide="ignore"):  # r = 0 gives inf, capped below
         out = np.power(r, -alpha)
     np.minimum(out, cap, out=out)
-    bad = ~np.isfinite(r)
-    if bad.any():
-        # the sum of squares overflows past about 1.3e154, where hypot does
-        # not: only rows with a non-finite coordinate give NaN
-        big = bad & np.isfinite(pts).all(axis=1)
-        r[big] = np.hypot.reduce(pts[big], axis=1)
-        out[big] = np.minimum(np.power(r[big], -alpha), cap)
-        out[bad & ~big] = np.nan
+    out[np.isinf(r)] = np.nan  # a NaN r already gives NaN
     return out, r
 
 
 def _sobolev_grad(pts: np.ndarray, alpha: float, r_cap: float) -> np.ndarray:
-    """|grad profile| = alpha r^(-alpha-1) outside the cap plateau r <= r_cap."""
-    r = np.sqrt(np.sum(pts * pts, axis=1))
+    """|grad profile| = alpha r^(-alpha-1) outside the cap plateau r <= r_cap;
+    NaN where r is not finite."""
+    r = row_norms(pts)
     out = np.zeros_like(r)
     outside = r > r_cap
     out[outside] = alpha * r[outside] ** (-alpha - 1.0)
+    out[~np.isfinite(r)] = np.nan
     return out
 
 
@@ -688,7 +685,7 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
 
     def div(t, pts):
         # d(profile)/dx_1 = f'(r) x_1 / r off the plateau
-        r = np.sqrt(np.sum(pts * pts, axis=1))
+        r = row_norms(pts)
         out = np.zeros(pts.shape[0])
         outside = r > r_cap
         out[outside] = (
@@ -1122,14 +1119,12 @@ def calibrate_witness_constant(
     keep = ia != ib
     zone = SINGULAR_EXCLUSION * grid.spacing
     for s in singular_points:
-        sp = np.asarray(s, dtype=np.float64)
-        da = np.sqrt(np.sum((grid.points[ia] - sp) ** 2, axis=1))
-        db = np.sqrt(np.sum((grid.points[ib] - sp) ** 2, axis=1))
-        keep &= (da > zone) & (db > zone)
+        for i in (ia, ib):
+            keep &= row_norms(grid.points[i] - np.asarray(s, np.float64)) > zone
     ia, ib = ia[keep], ib[keep]
     xa, xb = grid.points[ia], grid.points[ib]
-    num = np.sqrt(np.sum((b(0.0, xa) - b(0.0, xb)) ** 2, axis=1))
-    dist = np.sqrt(np.sum((xa - xb) ** 2, axis=1))
+    num = row_norms(b(0.0, xa) - b(0.0, xb))
+    dist = row_norms(xa - xb)
     den = dist * (m_grad[ia] + m_grad[ib])
     ratios = np.zeros_like(num)
     positive = num > 0.0

@@ -1,12 +1,13 @@
 """Shared numerical kernels.
 
-Lattice grids covering centered balls, ball averages and Lebesgue-measure
-helpers, adaptive 1-D quadrature, bisection inversion of monotone
-functions, ``row_blocks``, which cuts a row-wise reduction into blocks of a
-fixed element budget, and ``split_rows``, which allocates an array and
-fills its rows across the CPUs of the affinity mask.  Everything else in
-this module is a pure function of its inputs and deterministic, so all
-operations are safe to call concurrently.
+Lattice grids covering centered balls, ``row_norms`` (the one |x| every
+module takes), ball averages and Lebesgue-measure helpers, adaptive 1-D
+quadrature, bisection inversion of monotone functions, ``row_blocks``,
+which cuts a row-wise reduction into blocks of a fixed element budget, and
+``split_rows``, which allocates an array and fills its rows across the CPUs
+of the affinity mask.  Everything else in this module is a pure function of
+its inputs and deterministic, so all operations are safe to call
+concurrently.
 
 Conventions
 -----------
@@ -42,6 +43,7 @@ __all__ = [
     "PointGrid",
     "QuadratureResult",
     "make_grid",
+    "row_norms",
     "ball_average",
     "ball_measure",
     "grid_integral",
@@ -87,10 +89,11 @@ class PointGrid:
     """Lattice points ``i * h`` inside the closed ball ``B(radius)``.
 
     ``indices`` has shape (n, d) with integer entries, ordered
-    lexicographically; ``points`` is ``indices * spacing``.  Instances are
-    immutable after construction.  They own the lattice-ball geometry:
-    centered ball masks, nonzero offsets in a ball, the ``indices + m`` box
-    and the sub-grid of a smaller ball.
+    lexicographically; ``points`` is ``indices * spacing``, shape (n, d) in
+    every dimension, d = 1 included.  Instances are immutable after
+    construction.  They own the lattice-ball geometry: centered ball masks,
+    nonzero offsets in a ball, the ``indices + m`` box and the sub-grid of a
+    smaller ball.
     """
 
     dimension: int
@@ -107,12 +110,6 @@ class PointGrid:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
-    def coords(self) -> np.ndarray:
-        """Flat coordinate view, shape (n,) in d = 1 and (n, d) otherwise."""
-        if self.dimension == 1:
-            return self.points[:, 0]
-        return self.points
-
     @cached_property
     def half_width(self) -> int:
         """m = max |index|: the box ``[-m, m]^d`` holds every grid index."""
@@ -121,8 +118,7 @@ class PointGrid:
     def ball_mask(self, radius: float, points=None) -> np.ndarray:
         """Mask of ``points`` (default: the grid's own) in centered B(radius)."""
         pts = self.points if points is None else points
-        norms = np.sqrt(np.sum(pts**2, axis=1))
-        return norms <= radius * (1.0 + MEMBERSHIP_SLACK)
+        return row_norms(pts) <= radius * (1.0 + MEMBERSHIP_SLACK)
 
     def ball_offsets(self, radius: float) -> np.ndarray:
         """Nonzero lattice offsets k, ``|k h| <= radius``, lexicographic."""
@@ -197,6 +193,19 @@ def make_grid(dimension: int, radius: float, spacing: float) -> PointGrid:
     indices = _lattice_ball(dimension, radius, spacing)
     points = indices.astype(np.float64) * spacing
     return PointGrid(dimension, float(spacing), float(radius), indices, points)
+
+
+def row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``pts`` (n, d), ``sqrt(sum(pts * pts))``;
+    finite rows whose sum of squares overflows (past about 1.3e154) take
+    ``np.hypot``, which scales.  A non-finite row reads inf or NaN."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(pts * pts, axis=1))
+    big = np.isinf(norms)
+    if big.any():
+        big &= np.isfinite(pts).all(axis=1)
+        norms[big] = np.hypot.reduce(pts[big], axis=1)
+    return norms
 
 
 def _check_radius(radius: float, spacing: float) -> None:

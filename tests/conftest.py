@@ -104,6 +104,11 @@ def sobolev():
 
 
 @pytest.fixture(scope="session")
+def sobolev_2d():
+    return catalog_field("sobolev-singular", 2)
+
+
+@pytest.fixture(scope="session")
 def combined():
     return catalog_field("combined", 1)
 

@@ -310,7 +310,7 @@ def test_ac7_translation_estimate(osgood, moll, ens_b15):
 def test_ac8_weak_type_battery():
     started = time.time()
     grid = make_grid(1, 2.0, 0.01)
-    x = grid.coords()
+    x = grid.points[:, 0]
     profile = catalog_field("sobolev-singular", 1)
     battery = {
         "indicator_wide": (np.abs(x) <= 1.0).astype(float),

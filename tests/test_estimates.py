@@ -173,7 +173,7 @@ class TestRegularityQ:
         ens = integrate_ensemble(f, grid, 1.0, 1e-3)
         x0, r, t = 0.2, 0.25, 0.5
         q = regularity_Q(ens, LIN, x0, r, t)
-        ys = grid.coords()
+        ys = grid.points[:, 0]
         mask = np.abs(ys - x0) <= r * (1 + 1e-12)
         fam = PsiFunctional(LIN, r, quad_tol=1e-11)
         scale = math.exp(-t)

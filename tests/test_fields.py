@@ -225,6 +225,33 @@ class TestCatalog:
         np.testing.assert_allclose(vals[:, 0], 1e-90, rtol=1e-12)
         assert np.all(vals[:, 1:] == 0.0)
 
+    @pytest.mark.parametrize(
+        "name", ["sobolev", "sobolev_2d", "combined", "linear", "linear_2d"]
+    )
+    def test_silent_far_out(self, request, name):
+        # |x|^2 overflows at (1e300, ..., 1e300); the field, its speed, its
+        # divergence and its witness are finite there and warn of nothing
+        if name.startswith("linear"):
+            field = catalog_field("linear", 2 if name.endswith("2d") else 1)
+        else:
+            field = request.getfixturevalue(name)
+        pts = np.full((1, field.dimension), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for part in (field, field.speed, field.divergence, field.witness):
+                assert np.isfinite(part(0.0, pts)).all()
+
+    @pytest.mark.parametrize("name", ["sobolev", "sobolev_2d", "combined"])
+    def test_witness_nan_where_field_nan(self, request, name):
+        # at a point with a non-finite coordinate the witness reads NaN, as
+        # the field does, not the 0 of r = inf outside the cap plateau
+        field = request.getfixturevalue(name)
+        pts = np.zeros((3, field.dimension))
+        pts[0], pts[1, 0], pts[2, -1] = np.inf, -np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(field(0.0, pts)[:, 0]).all()
+            assert np.isnan(field.witness(0.0, pts)).all()
+
     def test_linear_inside_flat_region(self, linear_contracting):
         x = np.array([[0.5], [-1.0], [2.0]])
         np.testing.assert_allclose(
@@ -452,7 +479,7 @@ class TestMaximal:
     def test_indicator_vs_bruteforce(self):
         # f = indicator of [-1, 1] on a grid over B(6), cap 4, at x = 2
         grid = make_grid(1, 6.0, 0.05)
-        x = grid.coords()
+        x = grid.points[:, 0]
         f = (np.abs(x) <= 1.0).astype(float)
         mf = maximal_function(grid, f, 4.0)
         target = int(np.argmin(np.abs(x - 2.0)))
@@ -517,7 +544,7 @@ class TestWeakType:
 
     def test_indicator_bruteforce(self):
         grid = make_grid(1, 4.0, 0.01)
-        x = grid.coords()
+        x = grid.points[:, 0]
         f = (np.abs(x) <= 1.0).astype(float)
         rep = weak_type_check(grid, f, 2.0, 2.0, [0.5])
         mf = maximal_function(grid, f, 2.0)
@@ -570,9 +597,9 @@ class TestCalibration:
         assert np.isfinite(c1) and c1 > 0.0
         assert abs(c1 / c2 - 1.0) <= 0.20
 
-    def test_sobolev_two_d_witness(self):
+    def test_sobolev_two_d_witness(self, sobolev_2d):
         # calibration grid B(2) at h = 0.01, maximal function up to radius 4
-        field = catalog_field("sobolev-singular", 2)
+        field = sobolev_2d
         grid = make_grid(2, 3.0, 0.05)
         g = field.witness(0.0, grid.points)
         assert np.all(np.isfinite(g)) and np.all(g >= 0.0)

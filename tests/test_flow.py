@@ -75,7 +75,7 @@ class TestIntegration:
         grid = make_grid(1, 0.55, 0.5)  # contains x = 0.5
         coarse = integrate_ensemble(moll[16], grid, 1.0, 1e-3)
         fine = integrate_ensemble(moll[16], grid, 1.0, 1e-4)
-        i = int(np.argmin(np.abs(grid.coords() - 0.5)))
+        i = int(np.argmin(np.abs(grid.points[:, 0] - 0.5)))
         gap = abs(coarse.positions[i, -1, 0] - fine.positions[i, -1, 0])
         assert gap <= 1e-6
 

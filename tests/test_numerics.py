@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rlflab.numerics import (
     integrate_1d,
     invert_monotone,
     make_grid,
+    row_norms,
 )
 
 
@@ -22,7 +24,7 @@ class TestMakeGrid:
         g = make_grid(1, 1.0, 0.5)
         assert g.n_points == 5
         np.testing.assert_allclose(
-            g.coords(), [-1.0, -0.5, 0.0, 0.5, 1.0]
+            g.points[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0]
         )
 
     def test_2d_unit_spacing_keeps_axis_points_only(self):
@@ -82,6 +84,35 @@ class TestRestrict:
             big.restrict(0.1)
 
 
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_silent_and_finite_far_out(self, d):
+        # sqrt(sum(x * x)) where that is finite, bit for bit; hypot where
+        # the sum of squares overflows; inf or NaN on non-finite rows; and
+        # no overflow warning on stderr
+        rng = np.random.default_rng(3)
+        near = rng.uniform(-2.0, 2.0, (50, d))
+        far = np.full((3, d), 1e300) * np.array([[1.0], [-1.0], [0.5]])
+        bad = np.zeros((2, d))
+        bad[0, 0], bad[1, -1] = -np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_norms(np.vstack([near, far, bad]))
+        assert np.array_equal(got[:50], np.sqrt(np.sum(near * near, axis=1)))
+        np.testing.assert_allclose(
+            got[50:53], np.array([1.0, 1.0, 0.5]) * 1e300 * math.sqrt(d),
+            rtol=1e-15,
+        )
+        assert got[53] == np.inf and np.isnan(got[54])
+
+    def test_ball_mask_far_out(self):
+        g = make_grid(2, 1.0, 0.5)
+        pts = np.array([[1e300, 1e300], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.ball_mask(1e301, pts).tolist() == [True, True]
+
+
 class TestBallAverage:
     def test_constant(self):
         g = make_grid(2, 1.0, 0.2)
@@ -93,14 +124,14 @@ class TestBallAverage:
         errs = []
         for h in (0.02, 0.01, 0.005):
             g = make_grid(1, 1.0, h)
-            x = g.coords()
+            x = g.points[:, 0]
             errs.append(abs(ball_average(g, x * x, 0.0, 1.0) - 1.0 / 3.0))
         assert errs[0] < 1e-2
         assert errs[2] < errs[1] < errs[0]
 
     def test_odd_function_zero(self):
         g = make_grid(1, 1.0, 0.01)
-        assert ball_average(g, g.coords(), 0.0, 1.0) == pytest.approx(
+        assert ball_average(g, g.points[:, 0], 0.0, 1.0) == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -109,14 +140,15 @@ class TestBallAverage:
         errs = []
         for h in (0.1, 0.05, 0.025):
             g = make_grid(1, 1.0, h)
-            errs.append(abs(ball_average(g, np.abs(g.coords()), 0.0, 1.0) - 0.5))
+            avg = ball_average(g, np.abs(g.points[:, 0]), 0.0, 1.0)
+            errs.append(abs(avg - 0.5))
         assert errs[1] <= 0.65 * errs[0]
         assert errs[2] <= 0.65 * errs[1]
 
     def test_empty_ball(self):
         g = make_grid(1, 1.0, 0.2)
         with pytest.raises(EmptyBallError):
-            ball_average(g, g.coords(), 5.0, 0.05)
+            ball_average(g, g.points[:, 0], 5.0, 0.05)
 
 
 class TestBallMeasure:
