@@ -1,18 +1,18 @@
 """Run two source trees of rlflab on the same configs and diff their outputs.
 
-    python tools/diff_outputs.py PARENT CHANGE [--work DIR] [--suite all]
-                                 [--config NAME ...]
+    python tools/diff_outputs.py PARENT CHANGE [--work DIR]
 
 PARENT and CHANGE are source trees, each holding ``src/rlflab`` (a
-``git archive`` or ``git clone`` of each commit will do).  Each config in
-``tools/configs`` (or each one named, without ``.cfg``) runs once per tree
-as ``python -m rlflab.cli run --suite SUITE``; the ``default`` config runs
-a second time under ``taskset -c 0`` when ``taskset`` exists, where
-``split_rows`` starts no worker.  ``rlf-lab run --help`` and
-``rlf-lab catalog`` run once per tree too.
+``git archive`` or ``git clone`` of each commit will do).  Every config in
+``tools/configs`` runs once per tree as ``python -m rlflab.cli run --suite
+all``; the ``default`` config runs a second time under ``taskset -c 0``
+when ``taskset`` exists, where ``split_rows`` starts no worker.
+``rlf-lab run --help`` and ``rlf-lab catalog`` run once per tree too.
 
 Every run writes into its own directory under WORK, with one
-``RLFLAB_CACHE`` per tree, and is compared on ``reports/``,
+``RLFLAB_CACHE`` per tree, emptied before the first run so that both trees
+start cold (a cached tail table written by another tree is never read).
+Each run is compared on ``reports/``,
 ``summary.csv``, ``plots/``, stdout, stderr and its exit code.  In stdout
 and stderr the tree's and the output directory's paths read ``<tree>`` and
 ``<out>``.  Differences are printed on stdout, so no output there means no
@@ -108,23 +108,21 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--work", default="diff-outputs-work", help="directory for run outputs"
     )
-    parser.add_argument("--suite", default="all")
-    parser.add_argument(
-        "--config", nargs="*", help="config names in tools/configs (default: all)"
-    )
     args = parser.parse_args(argv)
-    names = args.config or sorted(
+    names = sorted(
         f[: -len(".cfg")] for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")
     )
     jobs = [("run-help", ["run", "--help"], False), ("catalog", ["catalog"], False)]
     for name in names:
         path = os.path.join(CONFIG_DIR, name + ".cfg")
-        jobs.append((name, ["run", "--config", path, "--suite", args.suite], False))
+        jobs.append((name, ["run", "--config", path, "--suite", "all"], False))
         if name == "default" and shutil.which("taskset"):
             jobs.append((name + "-cpu0", jobs[-1][1], True))
 
     found = []
     work = os.path.abspath(args.work)
+    for side in ("parent", "change"):
+        shutil.rmtree(os.path.join(work, side, "cache"), ignore_errors=True)
     for label, cli_args, cpu0 in jobs:
         print(label, file=sys.stderr)
         sides = [
