@@ -32,7 +32,15 @@ from .estimates import (
     translation_functional,
     weak_type_check,
 )
-from .fields import CATALOG, FieldError, MollifierKernel, catalog_field, mollify
+from .fields import (
+    CATALOG,
+    SOBOLEV_ALPHA,
+    SOBOLEV_CAP,
+    FieldError,
+    MollifierKernel,
+    catalog_field,
+    mollify,
+)
 from .flow import FlowError, integrate_ensemble
 from .modulus import NAMED_KINDS, ModulusError, ModulusOfContinuity, PsiFunctional
 from .numerics import NumericsError, ball_measure, make_grid, row_norms
@@ -73,7 +81,7 @@ class ExperimentConfig:
     field: str = "osgood-sum"
     d: int = 1
     terms: int = 1000
-    alpha: float = 0.3
+    alpha: float = SOBOLEV_ALPHA
     cap: float = 0.0
     value: float = 1.0
     slope: float = -1.0
@@ -312,18 +320,20 @@ def _compactness_suite(pipe: _Pipeline):
 
 def _weak_type_suite(pipe: _Pipeline):
     """lemma23 on B(R + lambda) in the run's dimension, over functions of
-    r = |x|; ``singular_speed`` is the 1-D ``sobolev-singular`` speed at r."""
+    r = |x|; ``singular_speed`` is the default ``sobolev-singular`` speed
+    min(r^-alpha, cap)."""
     cfg = pipe.cfg
     region, lam = cfg.R, cfg.R
     grid = make_grid(cfg.d, region + lam, cfg.h)
     r = row_norms(grid.points)
-    profile = catalog_field("sobolev-singular", 1)
+    with np.errstate(divide="ignore"):  # r = 0 gives inf, capped below
+        singular_speed = np.minimum(np.power(r, -SOBOLEV_ALPHA), SOBOLEV_CAP)
     battery = [
         ("indicator_wide", (r <= 1.0).astype(float)),
         ("indicator_narrow", (r <= 0.5).astype(float)),
         ("constant_1.01", np.full_like(r, 1.01)),
         ("constant_0.505", np.full_like(r, 0.505)),
-        ("singular_speed", profile.speed(0.0, r[:, None])),
+        ("singular_speed", singular_speed),
     ]
     alphas = [2.0**-k for k in range(7)]
     reports = []

@@ -5,8 +5,9 @@ The catalog ships five bounded autonomous fields (every interface still
 carries a time argument):
 
 * ``constant``            b = v, witness 0
-* ``linear``              b = A x, smoothly truncated far outside the
-                          working ball, analytic divergence
+* ``linear``              b = a x with a scalar slope a, smoothly
+                          truncated far outside the working ball, analytic
+                          divergence
 * ``osgood-sum``          components V_K(x_i) = sum_{k<=K} |sin(k x_i)|/k^2,
                           constant witness against the log modulus
 * ``sobolev-singular``    b = min(|x|^-alpha, cap) e1, calibrated
@@ -114,6 +115,10 @@ FD_DIV_STEP = 2e-6
 OSGOOD_PAIRS = 100_000
 OSGOOD_SEED = 20260809
 OSGOOD_SPAN = 3.0
+
+# sobolev-singular profile min(|x|^-alpha, cap): default exponent and cap
+SOBOLEV_ALPHA = 0.3
+SOBOLEV_CAP = 10.0
 
 # sobolev-singular witness calibration grid B(radius) at spacing, and pairs
 SOBOLEV_CAL_RADIUS = 2.0
@@ -369,7 +374,7 @@ def constant_witness(value: float):
         raise FieldError("witness must be nonnegative")
 
     def ev(t, pts):
-        return np.full(pts.shape[0], value)
+        return np.where(np.isfinite(pts).all(axis=1), value, np.nan)
 
     return ev
 
@@ -540,11 +545,7 @@ def catalog_field(catalog_id: str, dimension: int = 1, **params) -> VectorField:
 
 
 def _make_constant(dimension, value=1.0):
-    v = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if v.shape == (1,) and dimension > 1:
-        v = np.repeat(v, dimension)
-    if v.shape != (dimension,):
-        raise FieldError("constant value must match the dimension")
+    v = np.full(dimension, float(value))
 
     def ev(t, pts):
         out = np.broadcast_to(v, pts.shape).copy()
@@ -554,7 +555,7 @@ def _make_constant(dimension, value=1.0):
         return out
 
     def div(t, pts):
-        return np.zeros(pts.shape[0])
+        return np.where(np.isfinite(pts).all(axis=1), 0.0, np.nan)
 
     return VectorField(
         dimension,
@@ -576,27 +577,30 @@ def _trunc_profile(s: np.ndarray, r_flat: float, width: float):
 
 
 def _make_linear(dimension, slope=-1.0):
-    A = np.asarray(slope, dtype=np.float64)
-    if A.ndim == 0:
-        A = np.eye(dimension) * float(A)
-    if A.shape != (dimension, dimension):
-        raise FieldError("slope must be a scalar or a (d, d) matrix")
+    A = np.eye(dimension) * float(slope)
     op_norm = float(np.linalg.norm(A, 2))
     tr = float(np.trace(A))
 
+    # a row with a non-finite coordinate is evaluated at 0 and reads NaN
     def ev(t, pts):
+        pts, bad = _finite_or_zero(pts)
         s = row_norms(pts)
         theta, _ = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
-        return (pts @ A.T) * theta[:, None]
+        out = (pts @ A.T) * theta[:, None]
+        out[bad.any(axis=1)] = np.nan
+        return out
 
     def div(t, pts):
+        pts, bad = _finite_or_zero(pts)
         s = row_norms(pts)
         theta, dtheta = _trunc_profile(s, LINEAR_TRUNC_RADIUS, LINEAR_BLEND_WIDTH)
         ax = pts @ A.T
         radial = np.zeros_like(s)
         pos = dtheta != 0.0  # the blend shell, where s > 0 and x.Ax is finite
         radial[pos] = np.sum(ax[pos] * pts[pos], axis=1) / s[pos]
-        return tr * theta + dtheta * radial
+        out = tr * theta + dtheta * radial
+        out[bad.any(axis=1)] = np.nan
+        return out
 
     # sup of |A x| theta(|x|) and of the local Lipschitz constant, on a
     # dense radial mesh (the profile is radial so this is exact up to mesh)
@@ -626,7 +630,9 @@ def _make_osgood_sum(dimension, terms=1000):
         return out
 
     def div(t, pts):
+        pts, bad = _finite_or_zero(pts)
         vals = series_deriv_direct(np.abs(pts), terms) * np.sign(pts)
+        vals[bad] = np.nan
         return vals.sum(axis=1)
 
     return VectorField(
@@ -663,7 +669,7 @@ def _sobolev_grad(pts: np.ndarray, alpha: float, r_cap: float) -> np.ndarray:
     return out
 
 
-def _make_sobolev(dimension, alpha=0.3, cap=10.0):
+def _make_sobolev(dimension, alpha=SOBOLEV_ALPHA, cap=SOBOLEV_CAP):
     if not 0.0 < alpha < dimension:
         raise FieldError(
             f"alpha must lie in (0, d) for local integrability, got {alpha}"
@@ -684,16 +690,19 @@ def _make_sobolev(dimension, alpha=0.3, cap=10.0):
         return out
 
     def div(t, pts):
-        # d(profile)/dx_1 = f'(r) x_1 / r off the plateau
+        # d(profile)/dx_1 = f'(r) x_1 / r off the plateau; NaN where r is
+        # not finite
         r = row_norms(pts)
         out = np.zeros(pts.shape[0])
-        outside = r > r_cap
+        finite = np.isfinite(r)
+        outside = finite & (r > r_cap)
         out[outside] = (
             -alpha
             * r[outside] ** (-alpha - 1.0)
             * pts[outside, 0]
             / r[outside]
         )
+        out[~finite] = np.nan
         return out
 
     def grad_fn(t, pts):
@@ -731,7 +740,7 @@ def _summed(parts):
     return ev, div
 
 
-def _make_combined(dimension, alpha=0.3, cap=2.0, terms=1000):
+def _make_combined(dimension, alpha=SOBOLEV_ALPHA, cap=2.0, terms=1000):
     sob = _make_sobolev(dimension, alpha=alpha, cap=cap)
     osc = _make_osgood_sum(dimension, terms)
     c2 = measure_osgood_constant(terms)

@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    InversionError,
-    integrate_1d,
-    invert_monotone,
-    row_blocks,
-)
+from .numerics import InversionError, integrate_1d, row_blocks
 
 __all__ = [
     "ModulusError",
@@ -187,7 +182,11 @@ class PsiFunctional:
     __call__ = psi
 
     def psi_inverse(self, t: float, tol: float = 1e-10) -> float:
-        """Inverse of psi_delta by geometric bracket growth + bisection."""
+        """Inverse of psi_delta: the bracket [0, hi] grows geometrically
+        until psi(hi) >= t, then bisection of that bracket returns x with
+        |psi(x) - t| <= tol.  Bisection, not Newton, stays robust where psi
+        is steep or nearly flat.  Raises :class:`InversionError` when the
+        bracket cannot reach t or the bisection stalls."""
         if t < 0.0:
             raise ModulusError("psi_inverse is only defined for t >= 0")
         if t == 0.0:
@@ -195,13 +194,32 @@ class PsiFunctional:
         hi = max(self.delta, 1e-6)
         # the bracket stays where psi is defined (``PSI_RATIO_CEILING``)
         limit = min(1e15, PSI_RATIO_CEILING * self.delta)
-        while not self.psi(hi) >= t:  # a NaN t grows the bracket and raises
+        # a NaN t grows the bracket and raises
+        while not (psi_hi := self.psi(hi)) >= t:
             if hi >= limit:
                 raise InversionError(
                     "bracket-growth budget exceeded in psi_inverse"
                 )
             hi = min(2.0 * hi, limit)
-        return invert_monotone(self.psi, t, 0.0, hi, tol)
+        if t <= tol:  # psi(0) = 0
+            return 0.0
+        if psi_hi - t <= tol:
+            return hi
+        lo = 0.0
+        for _ in range(200):
+            x = 0.5 * (lo + hi)
+            fx = self.psi(x)
+            if abs(fx - t) <= tol:
+                return x
+            if fx < t:
+                lo = x
+            else:
+                hi = x
+            if hi - lo <= abs(x) * 1e-16:
+                break
+        raise InversionError(
+            f"bisection stalled at residual {abs(fx - t)} > tol {tol}"
+        )
 
     # -- bulk path ---------------------------------------------------------
 

@@ -2,12 +2,11 @@
 
 Lattice grids covering centered balls, ``row_norms`` (the one |x| every
 module takes), ball averages and Lebesgue-measure helpers, adaptive 1-D
-quadrature, bisection inversion of monotone functions, ``row_blocks``,
-which cuts a row-wise reduction into blocks of a fixed element budget, and
-``split_rows``, which allocates an array and fills its rows across the CPUs
-of the affinity mask.  Everything else in this module is a pure function of
-its inputs and deterministic, so all operations are safe to call
-concurrently.
+quadrature, ``row_blocks``, which cuts a row-wise reduction into blocks of
+a fixed element budget, and ``split_rows``, which allocates an array and
+fills its rows across the CPUs of the affinity mask.  Everything else in
+this module is a pure function of its inputs and deterministic, so all
+operations are safe to call concurrently.
 
 Conventions
 -----------
@@ -38,7 +37,6 @@ __all__ = [
     "GridError",
     "EmptyBallError",
     "QuadratureBudgetError",
-    "BracketError",
     "InversionError",
     "PointGrid",
     "QuadratureResult",
@@ -48,7 +46,6 @@ __all__ = [
     "ball_measure",
     "grid_integral",
     "integrate_1d",
-    "invert_monotone",
     "row_blocks",
     "split_rows",
 ]
@@ -74,10 +71,6 @@ class EmptyBallError(NumericsError):
 
 class QuadratureBudgetError(NumericsError):
     """Adaptive quadrature did not converge within its node budget."""
-
-
-class BracketError(NumericsError):
-    """Target value lies outside the bracket of a monotone inversion."""
 
 
 class InversionError(NumericsError):
@@ -170,15 +163,10 @@ class PointGrid:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Adaptive quadrature outcome: value, error estimate, node count."""
+    """Adaptive quadrature outcome: value and node count."""
 
     value: float
-    error: float
     nodes: int
-
-    def __post_init__(self):
-        if self.error < 0.0 or self.nodes < 1:
-            raise NumericsError("quadrature result invariants violated")
 
 
 def make_grid(dimension: int, radius: float, spacing: float) -> PointGrid:
@@ -313,7 +301,7 @@ def integrate_1d(
     if a > b:
         raise NumericsError("integration bounds must satisfy a <= b")
     if a == b:
-        return QuadratureResult(0.0, 0.0, 1)
+        return QuadratureResult(0.0, 1)
 
     fa = float(f(a))
     fb = float(f(b))
@@ -326,7 +314,6 @@ def integrate_1d(
     # stack entries: (a, m, b, fa, fm, fb, simpson(a, b), local tol)
     stack = [(a, m, b, fa, fm, fb, whole, tol)]
     total = 0.0
-    err = 0.0
     min_width = abs(b - a) * 1e-15
     while stack:
         xa, xm, xb, ya, ym, yb, s_coarse, loc_tol = stack.pop()
@@ -345,61 +332,11 @@ def integrate_1d(
         diff = s_fine - s_coarse
         if abs(diff) <= 15.0 * loc_tol or (xb - xa) <= min_width:
             total += s_fine + diff / 15.0
-            err += abs(diff) / 15.0
         else:
             half = 0.5 * loc_tol
             stack.append((xa, lm, xm, ya, yl, ym, s_left, half))
             stack.append((xm, rm, xb, ym, yr, yb, s_right, half))
-    return QuadratureResult(total, err, nodes)
-
-
-def invert_monotone(
-    f,
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iter: int = 200,
-) -> float:
-    """Solve ``f(x) = target`` for increasing ``f`` on [lo, hi] by bisection.
-
-    Bisection is used instead of Newton because it is unconditionally robust
-    near steep or nearly flat regions.  Returns x with |f(x) - target| <= tol.
-    """
-    if not tol > 0.0:
-        raise NumericsError("tol must be positive")
-    if lo > hi:
-        raise BracketError("bracket must satisfy lo <= hi")
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    scale = max(abs(flo), abs(fhi), abs(target), 1.0)
-    slack = scale * 1e-12
-    if target < flo - slack or target > fhi + slack:
-        raise BracketError(
-            f"target {target} outside bracket values [{flo}, {fhi}]"
-        )
-    if abs(flo - target) <= tol:
-        return lo
-    if abs(fhi - target) <= tol:
-        return hi
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        x = 0.5 * (lo + hi)
-        fx = float(f(x))
-        if abs(fx - target) <= tol:
-            return x
-        if fx < target:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= abs(x) * 1e-16:
-            break
-    fx = float(f(x))
-    if abs(fx - target) <= tol:
-        return x
-    raise InversionError(
-        f"bisection stalled at residual {abs(fx - target)} > tol {tol}"
-    )
+    return QuadratureResult(total, nodes)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from rlflab.estimates import weak_type_check
 from rlflab.fields import (
+    CATALOG,
     SERIES_DIRECT_TERMS,
     SERIES_TAIL_STEP,
     WITNESS_HEADROOM,
@@ -251,6 +252,29 @@ class TestCatalog:
         with np.errstate(invalid="ignore"):
             assert np.isnan(field(0.0, pts)[:, 0]).all()
             assert np.isnan(field.witness(0.0, pts)).all()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("field_id", list(CATALOG))
+    def test_nan_rows_at_non_finite_points(self, request, field_id, d):
+        # on a row with a non-finite coordinate the speed, the divergence
+        # and the witness read NaN, and no part of the field warns
+        fixture = {
+            ("osgood-sum", 1): "osgood",
+            ("sobolev-singular", 1): "sobolev",
+            ("sobolev-singular", 2): "sobolev_2d",
+            ("combined", 1): "combined",
+        }.get((field_id, d))
+        if fixture:
+            field = request.getfixturevalue(fixture)
+        else:
+            field = catalog_field(field_id, d)
+        pts = np.zeros((3, d))
+        pts[0, 0], pts[1, -1], pts[2, 0] = np.inf, -np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field(0.0, pts)
+            for part in (field.speed, field.divergence, field.witness):
+                assert np.isnan(part(0.0, pts)).all(), part
 
     def test_linear_inside_flat_region(self, linear_contracting):
         x = np.array([[0.5], [-1.0], [2.0]])

@@ -13,7 +13,7 @@ from rlflab.modulus import (
     ModulusOfContinuity,
     PsiFunctional,
 )
-from rlflab.numerics import InversionError, integrate_1d, invert_monotone
+from rlflab.numerics import InversionError, integrate_1d
 
 LIN = ModulusOfContinuity("linear")
 LOG = ModulusOfContinuity("log")
@@ -129,12 +129,18 @@ class TestPsi:
         xi = fam.psi_inverse(2.0, tol=1e-11)
         assert fam.psi(xi) == pytest.approx(2.0, abs=1e-9)
 
-    def test_invert_monotone_round_trip_catalog(self):
+    def test_inverse_round_trip_catalog(self):
         for mod in (LIN, LOG, LOGLOG):
             fam = PsiFunctional(mod, 0.02, quad_tol=1e-11)
-            target = fam.psi(0.7)
-            x = invert_monotone(fam.psi, target, 0.0, 1.0, 1e-11)
+            x = fam.psi_inverse(fam.psi(0.7), tol=1e-11)
             assert x == pytest.approx(0.7, abs=1e-8)
+
+    def test_inverse_bracket_ends(self):
+        # a target within tol of psi(0) = 0 reads 0; one at psi(hi) for the
+        # first bracket end hi = delta reads delta, before any bisection
+        fam = PsiFunctional(LOG, 0.05)
+        assert fam.psi_inverse(1e-11, tol=1e-10) == 0.0
+        assert fam.psi_inverse(fam.psi(0.05)) == 0.05
 
     def test_upper_bound_xi_over_delta(self):
         for mod in (LIN, LOG, LOGLOG):

@@ -71,7 +71,7 @@ def test_bulk_matches_adaptive(kind, delta, xs):
 @settings(max_examples=20, deadline=None)
 @given(KINDS, st.floats(-4.0, 1.0).map(lambda e: 10.0**e), XI)
 def test_inverse_round_trip(kind, delta, xi):
-    # invert_monotone stops within tol of the target t = psi(xi).  psi is
+    # psi_inverse stops within tol of the target t = psi(xi).  psi is
     # within quad_tol of psi_delta, whose inverse has slope rho + delta, at
     # most rho(max(x, xi)) + delta between the two points.
     fam = PsiFunctional(ModulusOfContinuity(kind), delta)

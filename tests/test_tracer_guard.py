@@ -26,8 +26,11 @@ assert cli.mollify.__name__ == "traced"
 assert fields.SeriesEvaluator.__name__ == "traced"
 """
 
-# the benchmark's own small config: a cold table build takes about a second
-TINY_CONFIG = "terms = 64\nh = 0.05\ntau = 0.01\nlevels = 4,8,16\n"
+# a small config: a cold table build takes about a second, and the combined
+# field's sobolev part calibrates a witness
+TINY_CONFIG = (
+    "field = combined\nterms = 64\nh = 0.05\ntau = 0.01\nlevels = 4,8,16\n"
+)
 
 
 def _env(**extra):
