@@ -1,13 +1,13 @@
-"""Experiment orchestration: config files, suites, reports, plots.
+"""Experiment orchestration: config files, the run plan and the suites.
 
 Config files are a flat ``key = value`` text format ('#' starts a comment);
 the keys, their types and their defaults are the fields of
 ``ExperimentConfig``, and ``rlf-lab run --help`` prints the defaults.  Exit
 codes: 0 all verdicts pass, 1 at least one estimate failed, 2 usage or config
 error, or an estimate, flow, modulus or numerics error that stopped the run.
-Outputs under the chosen directory are byte-deterministic for identical
-configs: per-estimate JSON reports, a summary CSV, and fixed-canvas SVG plots
-with no timestamps.
+A run writes per-estimate JSON reports, a summary CSV and SVG plots under
+the chosen directory.  ``reporting`` renders and names them, byte-
+deterministic for identical configs; this module only opens and writes them.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from .fields import (
 from .flow import FlowError, integrate_ensemble
 from .modulus import NAMED_KINDS, ModulusError, ModulusOfContinuity, PsiFunctional
 from .numerics import NumericsError, ball_measure, make_grid, row_norms
-from .reporting import reports_to_csv
+from .reporting import emit_plots, report_file_name, reports_to_csv
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
     "run_experiment",
-    "emit_plots",
     "main",
 ]
 
@@ -195,10 +194,11 @@ class _Pipeline:
     field's constants, so those suites pass the base field itself (built
     once; its modulus is its catalog entry's).  Each mollified level is
     integrated once per run, on the largest ball any chosen suite reads at
-    that level (``SUITE_REACH``); every smaller ball is served as a row
-    restriction of that ensemble, which equals a direct integration bit for
-    bit.  A level whose integration flags non-finite
-    trajectories stops the run with a ``FlowError``.
+    that level (``SUITE_REACH``).  A suite asks for a level's ensemble by
+    its own name and gets its ball as a row restriction of that ensemble,
+    which equals a direct integration bit for bit.  A level whose
+    integration flags non-finite trajectories stops the run with a
+    ``FlowError``.
     """
 
     def __init__(self, cfg: ExperimentConfig, suites):
@@ -206,8 +206,15 @@ class _Pipeline:
         self._base = None
         self._moll: dict = {}
         self._wide: dict = {}
+        top = cfg.levels[-1]
+        # (suite, level) -> radius of the ball the suite reads at the level
+        self._radius = {
+            (name, n): SUITE_REACH[name][n == top] * cfg.R
+            for name in suites
+            for n in cfg.levels
+        }
         self._reach = {
-            n: max(_reach(cfg, name, n) for name in suites) for n in cfg.levels
+            n: max(self._radius[name, n] for name in suites) for n in cfg.levels
         }
 
     def base_field(self):
@@ -225,11 +232,12 @@ class _Pipeline:
             self._moll[level] = mollify(self.base_field(), MollifierKernel(level))
         return self._moll[level]
 
-    def ensemble(self, level: int, radius: float):
-        """Trajectories of level ``level`` started on B(radius)."""
+    def ensemble(self, level: int, suite: str):
+        """Trajectories of level ``level`` started on the ball ``suite``
+        reads at that level."""
         if level not in self._wide:
             self._wide[level] = self._integrate(level, self._reach[level])
-        return self._wide[level].restrict(radius)
+        return self._wide[level].restrict(self._radius[suite, level])
 
     def _integrate(self, level: int, radius: float):
         cfg = self.cfg
@@ -244,20 +252,14 @@ class _Pipeline:
         return ens
 
 
-def _reach(cfg: ExperimentConfig, suite: str, level: int) -> float:
-    """Radius of the ball ``suite`` starts trajectories on at ``level``."""
-    every, top = SUITE_REACH[suite]
-    return (top if level == cfg.levels[-1] else every) * cfg.R
-
-
 def _stability_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     reports = []
     for i, n in enumerate(cfg.levels):
         for m in cfg.levels[i + 1 :]:
             fa, fb = pipe.mollified(n), pipe.mollified(m)
-            ea = pipe.ensemble(n, _reach(cfg, "stability", n))
-            eb = pipe.ensemble(m, _reach(cfg, "stability", m))
+            ea = pipe.ensemble(n, "stability")
+            eb = pipe.ensemble(m, "stability")
             for delta in cfg.deltas or (None,):
                 reports.append(
                     stability_report(
@@ -270,7 +272,7 @@ def _stability_suite(pipe: _Pipeline):
 def _cauchy_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     fields = [pipe.mollified(n) for n in cfg.levels]
-    ensembles = [pipe.ensemble(n, _reach(cfg, "cauchy", n)) for n in cfg.levels]
+    ensembles = [pipe.ensemble(n, "cauchy") for n in cfg.levels]
     return cauchy_diagnostic(
         pipe.base_field(), fields, ensembles, cfg.eta, cfg.R, slack=cfg.slack
     )
@@ -278,8 +280,7 @@ def _cauchy_suite(pipe: _Pipeline):
 
 def _regularity_suite(pipe: _Pipeline):
     cfg = pipe.cfg
-    top = cfg.levels[-1]
-    ens = pipe.ensemble(top, _reach(cfg, "regularity", top))
+    ens = pipe.ensemble(cfg.levels[-1], "regularity")
     _, report = regularity_set(
         ens,
         pipe.base_field(),
@@ -295,9 +296,8 @@ def _regularity_suite(pipe: _Pipeline):
 def _compactness_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     base = pipe.base_field()
-    top = cfg.levels[-1]
     reports = []
-    ens = pipe.ensemble(top, _reach(cfg, "compactness", top))
+    ens = pipe.ensemble(cfg.levels[-1], "compactness")
     for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0):
         reports.append(compactness_a(ens, base, r, cfg.R, slack=cfg.slack))
 
@@ -308,7 +308,7 @@ def _compactness_suite(pipe: _Pipeline):
     radii = [cfg.R / 4.0 / 2**j for j in range(5)]
     radii = [r for r in radii if r >= cfg.h]
     for n in cfg.levels:
-        e = pipe.ensemble(n, _reach(cfg, "compactness", n))
+        e = pipe.ensemble(n, "compactness")
         for r in radii:
             reports.append(
                 translation_functional(
@@ -375,191 +375,17 @@ def run_experiment(cfg: ExperimentConfig, suite: str):
     for name in chosen:
         for report in runners[name](pipe):
             rows.append((name, report))
-            _write_report(out, name, report, rows)
+            _write_report(out, name, report, len(rows))
     with open(os.path.join(out, "summary.csv"), "w") as fh:
         fh.write(reports_to_csv(rows))
     emit_plots([r for _, r in rows], os.path.join(out, "plots"))
     return 0 if all(r.passed for _, r in rows) else 1
 
 
-def _write_report(out, suite, report, rows):
-    meta = report.metadata
-    parts = [suite, report.estimate_id, str(meta.get("field", ""))]
-    for key in ("n", "m"):
-        v = meta.get(key, "")
-        if v != "" and v is not None:
-            parts.append(f"{key}{v}")
-    r = report.constants.get("r")
-    if r is not None:
-        parts.append(f"r{r:.6g}")
-    delta = report.constants.get("delta")
-    if delta is not None:
-        parts.append(f"d{delta:.3g}")
-    slug = "_".join(parts).replace("/", "-")
-    # keep names unique when a suite emits repeated shapes
-    slug = f"{slug}_{sum(1 for _ in rows):03d}"
-    with open(os.path.join(out, "reports", slug + ".json"), "w") as fh:
+def _write_report(out, suite, report, index):
+    path = os.path.join(out, "reports", report_file_name(suite, report, index))
+    with open(path, "w") as fh:
         fh.write(report.to_json() + "\n")
-
-
-# --------------------------------------------------------------------------
-# deterministic SVG plots
-# --------------------------------------------------------------------------
-
-_CANVAS = (640, 480)
-_MARGIN = (70, 30, 40, 60)  # left, right, top, bottom
-_PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8e6bbf", "#b8860b")
-
-
-def _svg_line_plot(series, title, xlabel, ylabel) -> str:
-    """Fixed-canvas line plot; floats rendered with %.6g, no timestamps."""
-    width, height = _CANVAS
-    ml, mr, mt, mb = _MARGIN
-    inner_w, inner_h = width - ml - mr, height - mt - mb
-    xs_all = np.concatenate([np.asarray(s[1], float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], float) for s in series])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(min(ys_all.min(), 0.0)), float(ys_all.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-
-    def px(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * inner_w
-
-    def py(y):
-        return mt + inner_h - (y - y_lo) / (y_hi - y_lo) * inner_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-size="14">{title}</text>',
-    ]
-    # axes
-    parts.append(
-        f'<line x1="{ml}" y1="{mt + inner_h}" x2="{ml + inner_w}" '
-        f'y2="{mt + inner_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + inner_h}" '
-        f'stroke="black"/>'
-    )
-    for i in range(5):
-        xv = x_lo + (x_hi - x_lo) * i / 4.0
-        yv = y_lo + (y_hi - y_lo) * i / 4.0
-        parts.append(
-            f'<text x="{px(xv):.1f}" y="{mt + inner_h + 16}" '
-            f'text-anchor="middle" font-size="10">{xv:.6g}</text>'
-        )
-        parts.append(
-            f'<text x="{ml - 6}" y="{py(yv) + 3:.1f}" text-anchor="end" '
-            f'font-size="10">{yv:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{ml + inner_w / 2:.1f}" y="{height - 8}" '
-        f'text-anchor="middle" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{mt + inner_h / 2:.1f}" text-anchor="middle" '
-        f'font-size="12" transform="rotate(-90 16 {mt + inner_h / 2:.1f})">'
-        f"{ylabel}</text>"
-    )
-    for idx, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle cx="{px(float(x)):.2f}" cy="{py(float(y)):.2f}" '
-                f'r="2.5" fill="{color}"/>'
-            )
-        parts.append(
-            f'<text x="{ml + inner_w - 4}" y="{mt + 14 + 14 * idx}" '
-            f'text-anchor="end" font-size="11" fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def emit_plots(reports, out_dir) -> list:
-    """Write the suite plots; returns the written paths (empty = warning)."""
-    if not reports:
-        print("warning: no reports, no plots emitted", file=sys.stderr)
-        return []
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def write(name, *plot):
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(_svg_line_plot(*plot))
-        written.append(path)
-
-    stab = [r for r in reports if r.estimate_id == "thm31"]
-    if stab:
-        stab = sorted(
-            stab, key=lambda r: (r.metadata.get("n") or 0, r.metadata.get("m") or 0)
-        )
-        xs = list(range(1, len(stab) + 1))
-        write(
-            "stability_lhs_rhs.svg",
-            [
-                ("lhs", xs, [r.lhs for r in stab]),
-                ("rhs", xs, [r.rhs for r in stab]),
-            ],
-            "stability functional vs bound (pairs ordered by level)",
-            "pair index",
-            "value",
-        )
-
-    cauchy = [r for r in reports if r.estimate_id == "cauchy"]
-    doubling = [
-        r
-        for r in cauchy
-        if r.metadata.get("m") == 2 * (r.metadata.get("n") or 0)
-    ]
-    if doubling:
-        doubling = sorted(doubling, key=lambda r: r.metadata["n"])
-        write(
-            "cauchy_decay.svg",
-            [
-                (
-                    "D(n,2n)",
-                    [r.metadata["n"] for r in doubling],
-                    [r.lhs for r in doubling],
-                )
-            ],
-            "mollification flow gap",
-            "level n",
-            "D",
-        )
-
-    trans = [r for r in reports if r.estimate_id == "thm44"]
-    if trans:
-        by_level: dict = {}
-        for r in trans:
-            by_level.setdefault(r.metadata.get("n"), []).append(r)
-        series = []
-        for n in sorted(k for k in by_level if k is not None):
-            group = sorted(by_level[n], key=lambda r: r.constants["r"])
-            series.append(
-                (
-                    f"n={n}",
-                    [g.constants["r"] for g in group],
-                    [g.constants["g_of_r"] for g in group],
-                )
-            )
-        if series:
-            write("translation_g.svg", series, "translation bound g(r)", "r", "g(r)")
-    return written
 
 
 # --------------------------------------------------------------------------

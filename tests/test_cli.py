@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -11,7 +12,6 @@ from rlflab.cli import (
     SUITES,
     ConfigError,
     ExperimentConfig,
-    emit_plots,
     main,
     parse_config,
     run_experiment,
@@ -19,7 +19,7 @@ from rlflab.cli import (
 from rlflab.estimates import EstimateError, weak_type_check
 from rlflab.fields import CATALOG
 from rlflab.numerics import NumericsError
-from rlflab.reporting import CSV_COLUMNS, EstimateReport
+from rlflab.reporting import CSV_COLUMNS, EstimateReport, emit_plots
 
 
 # osgood-sum in d = 2 on a coarse grid: every suite in a second or two
@@ -515,6 +515,54 @@ class TestPlots:
         a = emit_plots([rep], str(tmp_path / "a"))
         b = emit_plots([rep], str(tmp_path / "b"))
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
+
+    # SHA-256 of each plot of ``synthetic_reports``.  The SVG writes floats
+    # through fixed format specs only, so the bytes do not depend on the
+    # numpy version.
+    PLOT_DIGESTS = {
+        "stability_lhs_rhs.svg": (
+            "00882d535eed6d243edef34a52baea8924cd2e5126640372c8420520237c37cf"
+        ),
+        "cauchy_decay.svg": (
+            "dfb6e8971a7763300fed2fe3335924d299bc017319f410833f0a2375249fb3d2"
+        ),
+        "translation_g.svg": (
+            "6448389b75e72359c36101255ee31af84ab661463763e233f2996ae6fd713725"
+        ),
+    }
+
+    @staticmethod
+    def synthetic_reports():
+        """thm31 pairs, Cauchy doublings and thm44 radii on levels 4, 8, 16."""
+
+        def report(estimate_id, lhs, rhs, constants=None, **meta):
+            meta = {"field": "f", **meta}
+            return EstimateReport(
+                estimate_id, lhs, rhs, constants or {}, meta, 0.05, 0.0
+            )
+
+        levels = (4, 8, 16)
+        reps = [
+            report("thm31", 0.1 * n / m, 0.3 + 0.01 * n, n=n, m=m)
+            for i, n in enumerate(levels)
+            for m in levels[i + 1 :]
+        ]
+        reps += [report("cauchy", 1.0 / n, 5.0, n=n, m=2 * n) for n in levels]
+        for n in levels:
+            for r in (0.25, 0.125, 0.0625):
+                g = 3.0 * r**0.5
+                rhs = g * 2.0 * r  # g(r) |B(r)| in d = 1
+                consts = {"r": r, "g_of_r": g}
+                reps.append(report("thm44", rhs * n / 64.0, rhs, consts, n=n))
+        return reps
+
+    def test_plot_digests(self, tmp_path):
+        written = emit_plots(self.synthetic_reports(), str(tmp_path))
+        digests = {
+            os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+            for p in written
+        }
+        assert digests == self.PLOT_DIGESTS
 
 
 # the epilog of ``rlf-lab run --help`` at 80 columns
