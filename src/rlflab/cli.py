@@ -56,7 +56,8 @@ __all__ = [
 
 SUITES = ("stability", "cauchy", "regularity", "compactness", "weak-type", "all")
 # radii, in units of R, of the balls each suite starts trajectories on:
-# (every level, the top level); 0 reads none
+# (every other level, the top level), indexed by ``level == top``; 0 reads
+# none
 SUITE_REACH = {
     "stability": (1.0, 1.0),
     "cauchy": (1.0, 1.0),

@@ -16,12 +16,25 @@ right side only through its values and its L1 norm, ``witness_l1_norm``.
 
 Verdicts use multiplicative slack (default 5%) plus a declared additive
 budget assembled from the discretization parameters (grid spacing, series
-truncation, integrator step).  The right sides are computed from recorded
-sup bounds and analytic divergence data, both of which are conservative, so
-a passing verdict never leans on an optimistic constant.  Every field
-carries its witness, modulus and divergence, so each estimate reads them
-directly.  ``_report`` builds every report and refuses a non-finite side or
-constant, so no verdict rests on an infinite or NaN quantity.
+truncation, integrator step).  Four constants on the right sides are
+measured, not bounded, so a passing verdict can lean on an optimistic
+constant (ROADMAP item 2):
+
+* L is exp(T times a grid sup of [div b]^-) (``compressibility_constant``):
+  6.914 against the true sup H_K = 7.4855 on ``osgood-sum`` (K = 1000),
+  119.4 against 6,463 on ``sobolev-singular``;
+* thm41's C_d is the weak-type ratio measured on Phi, a lower bound for
+  the maximal operator's constant;
+* lemma23's rhs is c_measured times the integral of |f|, with c_measured
+  taken from the same superlevel sets, so its verdict cannot fail;
+* the ``osgood-sum`` witness constant c2 is a sup over random pairs
+  (``measure_osgood_constant``); with ``WITNESS_HEADROOM`` it clears the
+  pairs (0, s) by 0.06%.
+
+Every field carries its witness, modulus and divergence, so each estimate
+reads them directly.  ``_report`` builds every report and refuses a
+non-finite side or constant, so no verdict rests on an infinite or NaN
+quantity.
 """
 
 from __future__ import annotations
@@ -190,18 +203,16 @@ def _witness_norm(field: VectorField, times, grid: PointGrid) -> float:
     )
 
 
-def _offset_distances(ensemble: TrajectoryEnsemble, rows, radius: float):
-    """|X_t(x + k h) - X_t(x)| for each nonzero lattice offset k in B(r).
+def _neighbor_rows(grid: PointGrid, rows, radius: float):
+    """The grid rows of x + k h for the centers x at grid ``rows``, one
+    array per nonzero lattice offset k in B(r).
 
-    Yields one (len(rows), n_times) array per offset, for the centers x at
-    grid ``rows``.  Every shifted point x + k h must be a grid point: a
-    window is never truncated, and a grid that misses one raises.
+    Every shifted point x + k h must be a grid point: a window is never
+    truncated, and a grid that misses one raises.
     """
-    grid = ensemble.grid
     m = grid.half_width
     slot = grid.embed(np.arange(grid.n_points), fill=-1)
     centers = grid.indices[rows]
-    here = ensemble.positions[rows]
     for k in grid.ball_offsets(radius):
         idx = centers + k
         nbr = slot[grid.box_index(idx)] if np.abs(idx).max() <= m else -1
@@ -210,11 +221,16 @@ def _offset_distances(ensemble: TrajectoryEnsemble, rows, radius: float):
                 f"ensemble grid of radius {grid.radius} does not hold every "
                 f"shifted point x + k h with |k h| <= {radius}"
             )
-        diff = ensemble.positions[nbr] - here
-        dist = np.square(diff[..., 0])
-        for j in range(1, grid.dimension):
-            dist += np.square(diff[..., j])
-        yield np.sqrt(dist, out=dist)
+        yield nbr
+
+
+def _separation(there: np.ndarray, here: np.ndarray) -> np.ndarray:
+    """|there - here| over the last axis, summed coordinate by coordinate."""
+    diff = there - here
+    dist = np.square(diff[..., 0])
+    for j in range(1, diff.shape[-1]):
+        dist += np.square(diff[..., j])
+    return np.sqrt(dist, out=dist)
 
 
 def _additive_budget(
@@ -463,10 +479,11 @@ def _q_sweep(
     for r in radii:
         psi = PsiFunctional(modulus, float(r))
         for blk in row_blocks(len(rows), ensemble.n_times):
-            acc = np.zeros((len(rows[blk]), ensemble.n_times))
+            here = ensemble.positions[rows[blk]]
+            acc = np.zeros(here.shape[:2])
             count = 1
-            for dist in _offset_distances(ensemble, rows[blk], r):
-                acc += psi.psi_values(dist)
+            for nbr in _neighbor_rows(ensemble.grid, rows[blk], r):
+                acc += psi.psi_values(_separation(ensemble.positions[nbr], here))
                 count += 1
             q_sup[blk] = np.maximum(q_sup[blk], (acc / count).max(axis=1))
     return rows, q_sup
@@ -685,6 +702,29 @@ def compactness_a(
 # --------------------------------------------------------------------------
 
 
+def _offset_sums(ensemble: TrajectoryEnsemble, rows, radius: float):
+    """Per mesh time, the sum of |X_t(x + k h) - X_t(x)| over the centers x
+    at grid ``rows`` and the nonzero lattice offsets k in B(r).
+
+    The sums stream over blocks of mesh times, each about
+    ``numerics.BLOCK_ELEMENTS`` distances and at least 2 times wide.  A
+    column sum of a wider block adds the centers in order, as a sum over
+    all mesh times at once does; a one-column sum would take numpy's
+    pairwise path and round differently.
+    """
+    neighbors = list(_neighbor_rows(ensemble.grid, rows, radius))
+    blocks = row_blocks(ensemble.n_times, len(rows), min_rows=2)
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        # fold a 1-column remainder into the block before it
+        blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+    acc = np.zeros(ensemble.n_times)
+    for cols in blocks:
+        here = ensemble.positions[rows, cols]
+        for nbr in neighbors:
+            acc[cols] += _separation(ensemble.positions[nbr, cols], here).sum(axis=0)
+    return acc
+
+
 @dataclass(frozen=True)
 class TranslationConstants:
     """Uniform-in-level constants for the translation estimate."""
@@ -736,9 +776,7 @@ def translation_functional(
         raise EstimateError("need 0 < r < R/2")
     grid = ensemble.grid
     rows = np.flatnonzero(grid.ball_mask(region_radius))
-    acc = np.zeros(ensemble.n_times)
-    for dist in _offset_distances(ensemble, rows, radius):
-        acc += dist.sum(axis=0)
+    acc = _offset_sums(ensemble, rows, radius)
     lhs = float(acc.max() * grid.cell_volume * grid.cell_volume)
 
     psi = PsiFunctional(modulus, float(radius))

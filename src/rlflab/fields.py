@@ -34,10 +34,10 @@ Every field has one evaluator, one divergence and one quadrature, and
 ``mollify`` is the only place that knows how a field is convolved.
 
 This module builds fields and writes no reports: the lemma23 weak-type
-check of the maximal function is an estimate (``estimates``), and result
-files (reports, ``summary.csv``, plots) are written by ``cli`` and
-``reporting`` alone.  The only file this module writes is the disk cache of
-the tail table below.
+check of the maximal function is an estimate (``estimates``), every byte
+and name of a result file (reports, ``summary.csv``, plots) comes from
+``reporting``, and ``cli`` writes them.  The only file this module writes
+is the disk cache of the tail table below.
 
 Performance note: the base ``osgood-sum`` evaluates V_K exactly
 (``series_direct``); only its mollified levels, which the flows integrate,
@@ -991,9 +991,12 @@ def divergence_negative_part(field: VectorField, grid: PointGrid) -> float:
 def compressibility_constant(
     field: VectorField, grid: PointGrid, horizon: float
 ) -> float:
-    """L = exp(horizon * grid sup of [div b]^- at t = 0), the analytic bound
-    for a field that does not depend on t.
+    """L = exp(horizon * grid sup of [div b]^- at t = 0), for a field that
+    does not depend on t.
 
+    A measured constant, not a bound: the grid sup can miss the field's
+    true sup of [div b]^- (6.914 against H_K = 7.4855 on ``osgood-sum``,
+    K = 1000; 119.4 against 6,463 on ``sobolev-singular``; ROADMAP item 2).
     The sup is measured once per field and grid and kept on the field.  An
     exponent past the float range gives inf, which the reports reject.
     """

@@ -109,7 +109,6 @@ def reports_to_csv(rows: list[tuple[str, "EstimateReport"]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-
 def report_file_name(suite: str, report: EstimateReport, index: int) -> str:
     """``<suite>_<estimate>_<field>[_n<n>][_m<m>][_r<r>][_d<delta>]_<index>.json``,
     with ``index`` the report's running number in the run, which keeps names
@@ -139,31 +138,22 @@ _MARGIN = (70, 30, 40, 60)  # left, right, top, bottom
 _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8e6bbf", "#b8860b")
 
 
-def _coord(v) -> str:
-    """A text or line coordinate: an int as it is, a float to 0.1."""
-    return str(v) if isinstance(v, int) else f"{v:.1f}"
-
-
 def _text(x, y, size, body, anchor="middle", attrs="") -> str:
+    """A text element; an int coordinate prints as it is, a float to 0.1."""
+    x, y = (str(v) if isinstance(v, int) else f"{v:.1f}" for v in (x, y))
     return (
-        f'<text x="{_coord(x)}" y="{_coord(y)}" text-anchor="{anchor}" '
-        f'font-size="{size}"{attrs}>{body}</text>'
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}"'
+        f"{attrs}>{body}</text>"
     )
 
 
-def _line(x1, y1, x2, y2) -> str:
-    return (
-        f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
-        f'y2="{_coord(y2)}" stroke="black"/>'
-    )
+def _line(x1: int, y1: int, x2: int, y2: int) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
 
 
 def _polyline(points, color) -> str:
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return (
-        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="1.5"/>'
-    )
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
 def _circle(x, y, color) -> str:
@@ -204,25 +194,18 @@ def _svg_line_plot(series, title, xlabel, ylabel) -> str:
         xv = x_lo + (x_hi - x_lo) * i / 4.0
         yv = y_lo + (y_hi - y_lo) * i / 4.0
         parts.append(_text(px(xv), bottom + 16, 10, f"{xv:.6g}"))
-        parts.append(_text(ml - 6, py(yv) + 3, 10, f"{yv:.6g}", anchor="end"))
+        parts.append(_text(ml - 6, py(yv) + 3, 10, f"{yv:.6g}", "end"))
     parts.append(_text(ml + inner_w / 2, height - 8, 12, xlabel))
-    parts.append(
-        _text(16, mid, 12, ylabel, attrs=f' transform="rotate(-90 16 {mid:.1f})"')
-    )
+    turn = f' transform="rotate(-90 16 {mid:.1f})"'
+    parts.append(_text(16, mid, 12, ylabel, "middle", turn))
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = [(px(float(x)), py(float(y))) for x, y in zip(xs, ys)]
         parts.append(_polyline(points, color))
         parts.extend(_circle(x, y, color) for x, y in points)
+        legend_y = mt + 14 + 14 * idx
         parts.append(
-            _text(
-                ml + inner_w - 4,
-                mt + 14 + 14 * idx,
-                11,
-                label,
-                anchor="end",
-                attrs=f' fill="{color}"',
-            )
+            _text(ml + inner_w - 4, legend_y, 11, label, "end", f' fill="{color}"')
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -242,60 +225,41 @@ def emit_plots(reports, out_dir) -> list:
             fh.write(_svg_line_plot(*plot))
         written.append(path)
 
+    def level(r, key):
+        return r.metadata.get(key) or 0
+
     stab = [r for r in reports if r.estimate_id == "thm31"]
     if stab:
-        stab = sorted(
-            stab, key=lambda r: (r.metadata.get("n") or 0, r.metadata.get("m") or 0)
-        )
+        stab.sort(key=lambda r: (level(r, "n"), level(r, "m")))
         xs = list(range(1, len(stab) + 1))
-        write(
-            "stability_lhs_rhs.svg",
-            [
-                ("lhs", xs, [r.lhs for r in stab]),
-                ("rhs", xs, [r.rhs for r in stab]),
-            ],
-            "stability functional vs bound (pairs ordered by level)",
-            "pair index",
-            "value",
-        )
+        lhs, rhs = [r.lhs for r in stab], [r.rhs for r in stab]
+        series = [("lhs", xs, lhs), ("rhs", xs, rhs)]
+        title = "stability functional vs bound (pairs ordered by level)"
+        write("stability_lhs_rhs.svg", series, title, "pair index", "value")
 
-    cauchy = [r for r in reports if r.estimate_id == "cauchy"]
     doubling = [
         r
-        for r in cauchy
-        if r.metadata.get("m") == 2 * (r.metadata.get("n") or 0)
+        for r in reports
+        if r.estimate_id == "cauchy" and r.metadata.get("m") == 2 * level(r, "n")
     ]
     if doubling:
-        doubling = sorted(doubling, key=lambda r: r.metadata["n"])
-        write(
-            "cauchy_decay.svg",
-            [
-                (
-                    "D(n,2n)",
-                    [r.metadata["n"] for r in doubling],
-                    [r.lhs for r in doubling],
-                )
-            ],
-            "mollification flow gap",
-            "level n",
-            "D",
-        )
+        doubling.sort(key=lambda r: r.metadata["n"])
+        ns = [r.metadata["n"] for r in doubling]
+        series = [("D(n,2n)", ns, [r.lhs for r in doubling])]
+        write("cauchy_decay.svg", series, "mollification flow gap", "level n", "D")
 
     trans = [r for r in reports if r.estimate_id == "thm44"]
     if trans:
-        by_level: dict = {}
-        for r in trans:
-            by_level.setdefault(r.metadata.get("n"), []).append(r)
-        series = []
-        for n in sorted(k for k in by_level if k is not None):
-            group = sorted(by_level[n], key=lambda r: r.constants["r"])
-            series.append(
-                (
-                    f"n={n}",
-                    [g.constants["r"] for g in group],
-                    [g.constants["g_of_r"] for g in group],
-                )
-            )
-        if series:
-            write("translation_g.svg", series, "translation bound g(r)", "r", "g(r)")
+        # g(r) does not depend on the level: one curve, and each level's
+        # functional per unit ball, lhs/|B(r)| = lhs g(r)/rhs, under it
+        g = {r.constants["r"]: r.constants["g_of_r"] for r in trans}
+        radii = sorted(g)
+        series = [("g(r)", radii, [g[r] for r in radii])]
+        for n in sorted({r.metadata.get("n") for r in trans} - {None}):
+            group = [r for r in trans if r.metadata.get("n") == n]
+            group.sort(key=lambda r: r.constants["r"])
+            per_ball = [r.lhs * r.constants["g_of_r"] / r.rhs for r in group]
+            series.append((f"n={n}", [r.constants["r"] for r in group], per_ball))
+        title = "translation bound g(r) and lhs/|B(r)| per level"
+        write("translation_g.svg", series, title, "r", "value")
     return written

@@ -527,7 +527,7 @@ class TestPlots:
             "dfb6e8971a7763300fed2fe3335924d299bc017319f410833f0a2375249fb3d2"
         ),
         "translation_g.svg": (
-            "6448389b75e72359c36101255ee31af84ab661463763e233f2996ae6fd713725"
+            "0cecf4a49ca50410c1dd2e3f086ddab1205904ad4f3471681a4f658717e9bc30"
         ),
     }
 
@@ -563,6 +563,18 @@ class TestPlots:
             for p in written
         }
         assert digests == self.PLOT_DIGESTS
+
+    def test_translation_plot_draws_g_once(self, tmp_path):
+        # g(r) does not depend on the level: one g(r) curve, then one
+        # measured curve per level
+        cfg = parse_config(write_config(tmp_path, FAST_CONSTANT))
+        cfg.out = str(tmp_path / "out")
+        run_experiment(cfg, "compactness")
+        svg = (tmp_path / "out" / "plots" / "translation_g.svg").read_text()
+        polylines = [line for line in svg.splitlines() if "<polyline" in line]
+        assert len(polylines) == 1 + len(cfg.levels)
+        labels = ["g(r)"] + [f"n={n}" for n in cfg.levels]
+        assert all(f">{label}</text>" in svg for label in labels)
 
 
 # the epilog of ``rlf-lab run --help`` at 80 columns

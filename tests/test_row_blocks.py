@@ -11,7 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlflab.estimates import _live_radii, _q_sweep, regularity_set
+from rlflab.estimates import (
+    TranslationConstants,
+    _live_radii,
+    _neighbor_rows,
+    _offset_sums,
+    _q_sweep,
+    _separation,
+    regularity_set,
+    translation_functional,
+)
 from rlflab.fields import (
     OSGOOD_PAIRS,
     OSGOOD_SEED,
@@ -88,6 +97,12 @@ class TestRowBlocks:
         assert len(row_blocks(200, 1, min_rows=64)) == 1
 
 
+# translation_functional cases by dimension: grid radius, spacing, region
+# radius R and offset radius r; every shifted center stays on the grid
+TRANSLATION_CASES = {1: (1.5, 0.01, 1.0, 0.25), 2: (0.6, 0.05, 0.4, 0.15)}
+TRANSLATION_CONSTS = TranslationConstants(2.0, 3.0, 1.5, 0.5)
+
+
 class TestBlockEdges:
     """Rows that straddle a block edge equal the unblocked expression."""
 
@@ -144,6 +159,22 @@ class TestBlockEdges:
         for threshold in [1.0, *bound, *np.nextafter(bound, 0.0)]:
             want = radii[~(bound * (1.0 + 1e-9) <= threshold)]
             assert np.array_equal(_live_radii(ens, radii, threshold), want)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("n_times", [2, 3, 41, 42, 81, 83, 1001])
+    def test_offset_sums(self, dimension, n_times):
+        # thm44's per-time sums: 201 centers (d = 1) give 40-column blocks,
+        # 197 (d = 2) 41-column ones, so 41, 81 and 1001 mesh times in
+        # d = 1, and 42 and 83 in d = 2, leave a 1-column remainder, which
+        # joins the block before it
+        radius, spacing, region, r = TRANSLATION_CASES[dimension]
+        ens = synthetic_ensemble(dimension, radius, spacing, n_times, nan=False)
+        rows = np.flatnonzero(ens.grid.ball_mask(region))
+        here = ens.positions[rows]
+        want = np.zeros(n_times)
+        for nbr in _neighbor_rows(ens.grid, rows, r):
+            want += _separation(ens.positions[nbr], here).sum(axis=0)
+        assert np.array_equal(_offset_sums(ens, rows, r), want)
 
     @pytest.mark.parametrize(
         "n", [0, 1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1]
@@ -219,6 +250,20 @@ class TestPeakMemory:
         _, peak = traced_peak(lambda: sup_distance(a, b))
         assert a.positions.nbytes > 6 * MiB
         assert peak < 0.5 * MiB
+
+    def test_translation_functional(self):
+        # 201 centers x 2,001 mesh times, 50 offsets: 3.1 MiB per (centers
+        # x times) array, 12.3 MiB peak over all mesh times at once
+        radius, spacing, region, r = TRANSLATION_CASES[1]
+        ens = synthetic_ensemble(1, radius, spacing, 2001, nan=False)
+        modulus = ModulusOfContinuity("log")
+        translation_functional(ens, r, region, TRANSLATION_CONSTS, modulus)
+        _, peak = traced_peak(
+            lambda: translation_functional(
+                ens, r, region, TRANSLATION_CONSTS, modulus
+            )
+        )
+        assert peak < 1 * MiB
 
     def test_live_radii(self):
         # 9.0 MiB peak unblocked
