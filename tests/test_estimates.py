@@ -29,7 +29,7 @@ from rlflab.numerics import (
     grid_integral,
     make_grid,
 )
-from rlflab.reporting import EstimateReport
+from rlflab.reporting import EstimateReport, report_file_name
 
 LIN = ModulusOfContinuity("linear")
 LOG = ModulusOfContinuity("log")
@@ -564,3 +564,17 @@ class TestReportSerialization:
         row = rep1.csv_row("stability")
         assert row[0] == "stability" and row[1] == "thm31"
         assert float(row[5]) == rep1.lhs and float(row[6]) == rep1.rhs
+
+    def test_report_file_name(self):
+        thm44 = EstimateReport(
+            "thm44", 1.0, 2.0, {"r": 0.0625}, {"field": "a/b", "n": 4}, 0.05, 0.0
+        )
+        assert report_file_name("compactness", thm44, 7) == (
+            "compactness_thm44_a-b_n4_r0.0625_007.json"
+        )
+        thm31 = EstimateReport(
+            "thm31", 1.0, 2.0, {"delta": 1.5e-6}, {"n": 4, "m": None}, 0.05, 0.0
+        )
+        assert report_file_name("stability", thm31, 12) == (
+            "stability_thm31__n4_d1.5e-06_012.json"
+        )
