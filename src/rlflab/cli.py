@@ -35,15 +35,15 @@ from .estimates import (
 from .fields import (
     CATALOG,
     SOBOLEV_ALPHA,
-    SOBOLEV_CAP,
     FieldError,
     MollifierKernel,
     catalog_field,
     mollify,
+    sobolev_profile,
 )
 from .flow import FlowError, integrate_ensemble
 from .modulus import NAMED_KINDS, ModulusError, ModulusOfContinuity, PsiFunctional
-from .numerics import NumericsError, ball_measure, make_grid, row_norms
+from .numerics import NumericsError, ball_measure, make_grid
 from .reporting import emit_plots, report_file_name, reports_to_csv
 
 __all__ = [
@@ -193,11 +193,13 @@ class _Pipeline:
 
     The cauchy, thm41, prop43 and thm44 bounds are stated with the rough
     field's constants, so those suites pass the base field itself (built
-    once; its modulus is its catalog entry's).  Each mollified level is
+    once; its modulus is its catalog entry's).  Each level is mollified and
     integrated once per run, on the largest ball any chosen suite reads at
-    that level (``SUITE_REACH``).  A suite asks for a level's ensemble by
-    its own name and gets its ball as a row restriction of that ensemble,
-    which equals a direct integration bit for bit.  A level whose
+    that level (``SUITE_REACH``), and its ensemble carries the mollified
+    field.  A suite asks for a level's ensemble by its own name and gets its
+    ball as a row restriction of that ensemble, which equals a direct
+    integration bit for bit and keeps the same field object, so values
+    measured once on a level's field serve every suite.  A level whose
     integration flags non-finite trajectories stops the run with a
     ``FlowError``.
     """
@@ -205,7 +207,6 @@ class _Pipeline:
     def __init__(self, cfg: ExperimentConfig, suites):
         self.cfg = cfg
         self._base = None
-        self._moll: dict = {}
         self._wide: dict = {}
         top = cfg.levels[-1]
         # (suite, level) -> radius of the ball the suite reads at the level
@@ -228,11 +229,6 @@ class _Pipeline:
             self._base = catalog_field(cfg.field, cfg.d, **kwargs)
         return self._base
 
-    def mollified(self, level: int):
-        if level not in self._moll:
-            self._moll[level] = mollify(self.base_field(), MollifierKernel(level))
-        return self._moll[level]
-
     def ensemble(self, level: int, suite: str):
         """Trajectories of level ``level`` started on the ball ``suite``
         reads at that level."""
@@ -243,7 +239,8 @@ class _Pipeline:
     def _integrate(self, level: int, radius: float):
         cfg = self.cfg
         grid = make_grid(cfg.d, radius, cfg.h)
-        ens = integrate_ensemble(self.mollified(level), grid, cfg.T, cfg.tau)
+        field = mollify(self.base_field(), MollifierKernel(level))
+        ens = integrate_ensemble(field, grid, cfg.T, cfg.tau)
         flagged = int(ens.flags.sum())
         if flagged:
             raise FlowError(
@@ -258,24 +255,20 @@ def _stability_suite(pipe: _Pipeline):
     reports = []
     for i, n in enumerate(cfg.levels):
         for m in cfg.levels[i + 1 :]:
-            fa, fb = pipe.mollified(n), pipe.mollified(m)
             ea = pipe.ensemble(n, "stability")
             eb = pipe.ensemble(m, "stability")
             for delta in cfg.deltas or (None,):
                 reports.append(
-                    stability_report(
-                        fa, fb, ea, eb, cfg.R, delta=delta, slack=cfg.slack
-                    )
+                    stability_report(ea, eb, cfg.R, delta=delta, slack=cfg.slack)
                 )
     return reports
 
 
 def _cauchy_suite(pipe: _Pipeline):
     cfg = pipe.cfg
-    fields = [pipe.mollified(n) for n in cfg.levels]
     ensembles = [pipe.ensemble(n, "cauchy") for n in cfg.levels]
     return cauchy_diagnostic(
-        pipe.base_field(), fields, ensembles, cfg.eta, cfg.R, slack=cfg.slack
+        pipe.base_field(), ensembles, cfg.eta, cfg.R, slack=cfg.slack
     )
 
 
@@ -297,24 +290,18 @@ def _regularity_suite(pipe: _Pipeline):
 def _compactness_suite(pipe: _Pipeline):
     cfg = pipe.cfg
     base = pipe.base_field()
-    reports = []
-    ens = pipe.ensemble(cfg.levels[-1], "compactness")
-    for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0):
-        reports.append(compactness_a(ens, base, r, cfg.R, slack=cfg.slack))
-
-    moll = [pipe.mollified(n) for n in cfg.levels]
-    consts = translation_constants(
-        base, moll, cfg.R, cfg.T, cfg.h, ens.times
-    )
+    ensembles = [pipe.ensemble(n, "compactness") for n in cfg.levels]
+    reports = [
+        compactness_a(ensembles[-1], base, r, cfg.R, slack=cfg.slack)
+        for r in (cfg.R / 4.0, cfg.R / 8.0, cfg.R / 16.0)
+    ]
+    consts = translation_constants(base, ensembles, cfg.R)
     radii = [cfg.R / 4.0 / 2**j for j in range(5)]
     radii = [r for r in radii if r >= cfg.h]
-    for n in cfg.levels:
-        e = pipe.ensemble(n, "compactness")
+    for ens in ensembles:
         for r in radii:
             reports.append(
-                translation_functional(
-                    e, r, cfg.R, consts, base.modulus, slack=cfg.slack
-                )
+                translation_functional(ens, r, cfg.R, consts, slack=cfg.slack)
             )
     return reports
 
@@ -322,13 +309,11 @@ def _compactness_suite(pipe: _Pipeline):
 def _weak_type_suite(pipe: _Pipeline):
     """lemma23 on B(R + lambda) in the run's dimension, over functions of
     r = |x|; ``singular_speed`` is the default ``sobolev-singular`` speed
-    min(r^-alpha, cap)."""
+    min(r^-alpha, cap), ``fields.sobolev_profile``."""
     cfg = pipe.cfg
     region, lam = cfg.R, cfg.R
     grid = make_grid(cfg.d, region + lam, cfg.h)
-    r = row_norms(grid.points)
-    with np.errstate(divide="ignore"):  # r = 0 gives inf, capped below
-        singular_speed = np.minimum(np.power(r, -SOBOLEV_ALPHA), SOBOLEV_CAP)
+    singular_speed, r = sobolev_profile(grid.points)
     battery = [
         ("indicator_wide", (r <= 1.0).astype(float)),
         ("indicator_narrow", (r <= 0.5).astype(float)),

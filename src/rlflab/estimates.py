@@ -31,10 +31,13 @@ constant (ROADMAP item 2):
   (``measure_osgood_constant``); with ``WITNESS_HEADROOM`` it clears the
   pairs (0, s) by 0.06%.
 
-Every field carries its witness, modulus and divergence, so each estimate
-reads them directly.  ``_report`` builds every report and refuses a
-non-finite side or constant, so no verdict rests on an infinite or NaN
-quantity.
+Every field carries its witness, modulus and divergence, and every flow
+the field that drives it, so each estimate reads a level's field, modulus,
+horizon, spacing and times from its ensemble.  The base field b is passed
+beside the ensembles only where the theorem states its constants for b, not
+for the mollified b^n: the Cauchy table, thm41, prop43 and the thm44
+constants.  ``_report`` builds every report and refuses a non-finite side
+or constant, so no verdict rests on an infinite or NaN quantity.
 """
 
 from __future__ import annotations
@@ -132,17 +135,18 @@ def _report(
     )
 
 
-def _metadata(ensemble: TrajectoryEnsemble, field=None, n=None, m="") -> dict:
+def _metadata(ensemble: TrajectoryEnsemble, field=None, m="") -> dict:
     """The six metadata keys of every report: id and series truncation K of
-    ``field`` (the ensemble's id and no K without one, as in thm44), levels
-    n (default: the ensemble's) and m, and the ensemble's h and tau."""
+    ``field`` (default: the ensemble's), the ensemble's level n, level m,
+    and the ensemble's h and tau."""
+    field = ensemble.field if field is None else field
     return {
-        "field": ensemble.field_id if field is None else field.catalog_id,
-        "n": ensemble.mollification_level if n is None else n,
+        "field": field.catalog_id,
+        "n": ensemble.field.mollification_level,
         "m": m,
         "h": ensemble.grid.spacing,
         "tau": ensemble.tau,
-        "K": "" if field is None or field.terms is None else field.terms,
+        "K": "" if field.terms is None else field.terms,
     }
 
 
@@ -234,23 +238,20 @@ def _separation(there: np.ndarray, here: np.ndarray) -> np.ndarray:
 
 
 def _additive_budget(
-    grid: PointGrid,
-    field: VectorField,
-    tau: float,
-    delta: float,
-    region_measure: float,
+    ensemble: TrajectoryEnsemble, delta: float, region_measure: float
 ) -> dict:
     """Declared discretization allowances added to the slack.
 
-    Series truncation shifts both flows by at most T/terms, the integrator
-    contributes O(tau^4), and each adaptive psi evaluation carries its
-    quadrature tolerance; all three are scaled by the worst psi slope 1/delta
-    over the integration region.
+    Series truncation of the ensemble's field shifts both flows by at most
+    T/terms, the integrator contributes O(tau^4), and each adaptive psi
+    evaluation carries its quadrature tolerance; all three are scaled by
+    the worst psi slope 1/delta over the integration region.
     """
-    terms = field.terms
+    terms = ensemble.field.terms
+    grid = ensemble.grid
     horizon_scale = region_measure / delta
     trunc = 2.0 / terms * horizon_scale if terms else 0.0
-    rk4 = tau**4 * horizon_scale
+    rk4 = ensemble.tau**4 * horizon_scale
     quad = 1e-8 * grid.n_points * grid.cell_volume
     return {
         "budget_truncation": trunc,
@@ -266,8 +267,6 @@ def _additive_budget(
 
 
 def stability_report(
-    field_a: VectorField,
-    field_b: VectorField,
     ens_a: TrajectoryEnsemble,
     ens_b: TrajectoryEnsemble,
     region_radius: float,
@@ -276,11 +275,12 @@ def stability_report(
 ) -> EstimateReport:
     """Stability inequality: psi_delta of the sup distance vs witness norms.
 
-    LHS integrates psi_delta(sup_t |X - X~|) over B(region_radius); RHS is
+    The flows X and X~ are driven by the fields b and b~ they carry.  LHS
+    integrates psi_delta(sup_t |X - X~|) over B(region_radius); RHS is
     (L + L~) ||g|| + (L~/delta) ||b - b~|| with both L1 norms over
     [0, T] x B(R_bar), R_bar = R + T max(||b||, ||b~||), and g the first
     field's witness (the theorem's reading).  ``||b - b~||`` is measured
-    once per pair of fields and kept on ``field_a``, as is ``||g||``; when
+    once per pair of fields and kept on b, as is ``||g||``; when
     ``delta`` is omitted it is max(||b - b~||, ``ZERO_DISTANCE_DELTA``), as
     in ``cauchy_diagnostic``.  The LHS takes one adaptive
     psi_delta quadrature per grid point of B(region_radius), spread over the
@@ -289,6 +289,7 @@ def stability_report(
     """
     if not ens_a.same_mesh(ens_b):
         raise EstimateError("ensembles must share grid and mesh")
+    field_a, field_b = ens_a.field, ens_b.field
     modulus = field_a.modulus
     cross = field_b.modulus != modulus
     horizon = ens_a.horizon
@@ -319,7 +320,7 @@ def stability_report(
     rhs = (l_a + l_b) * g_norm + l_b / delta * b_dist
 
     region_measure = ball_measure(grid.dimension, region_radius)
-    budget = _additive_budget(grid, field_a, ens_a.tau, delta, region_measure)
+    budget = _additive_budget(ens_a, delta, region_measure)
     constants = {
         "L": l_a,
         "L_tilde": l_b,
@@ -337,7 +338,7 @@ def stability_report(
         lhs,
         rhs,
         constants,
-        _metadata(ens_a, field_a, m=ens_b.mollification_level),
+        _metadata(ens_a, m=field_b.mollification_level),
         slack=slack,
         additive=budget["additive_total"],
     )
@@ -350,26 +351,23 @@ def stability_report(
 
 def cauchy_diagnostic(
     base_field: VectorField,
-    moll_fields: list,
     ensembles: list,
     eta: float,
     region_radius: float,
     slack: float = DEFAULT_SLACK,
 ) -> list:
-    """Cauchy-sequence bound for the mollified flows, one report per level
-    pair (n, m) with n < m, in level order.
+    """Cauchy-sequence bound for the mollified flows, one report per pair
+    of ``ensembles`` (n, m) with n before m, in list order.
 
     For each pair: the flow gap D_{n,m} integrated over B(R) (the lhs), and
     the bound eta |B(R)| + 2 R_bar C / psi_delta(eta) with
     delta = max(delta_{n,m}, ``ZERO_DISTANCE_DELTA``),
-    delta_{n,m} = ||b^n - b^m||_L1 (constant ``delta_nm``) and
-    C = 2 L ||g||_L1([0,T] x B(R_bar + 1)) + L built from the base witness
-    and the base compressibility bound.
+    delta_{n,m} = ||b^n - b^m||_L1 between the fields the two flows carry
+    (constant ``delta_nm``) and C = 2 L ||g||_L1([0,T] x B(R_bar + 1)) + L
+    built from the base witness and the base compressibility bound.
     """
-    if len(moll_fields) < 3:
+    if len(ensembles) < 3:
         raise EstimateError("need at least 3 mollification levels")
-    if len(moll_fields) != len(ensembles):
-        raise EstimateError("fields and ensembles must align")
     first = ensembles[0]
     for ens in ensembles[1:]:
         if not ens.same_mesh(first):
@@ -388,14 +386,11 @@ def cauchy_diagnostic(
 
     mask = grid.ball_mask(region_radius)
     region_measure = ball_measure(grid.dimension, region_radius)
-    levels = [f.mollification_level for f in moll_fields]
-    budget = _additive_budget(grid, base_field, first.tau, eta, region_measure)
+    budget = _additive_budget(first, eta, region_measure)
     reports = []
-    for i in range(len(moll_fields)):
-        for j in range(i + 1, len(moll_fields)):
-            fn, fm = moll_fields[i], moll_fields[j]
-            en, em = ensembles[i], ensembles[j]
-            delta_nm = _field_distance(fn, fm, first.times, norm_grid)
+    for i, en in enumerate(ensembles):
+        for em in ensembles[i + 1 :]:
+            delta_nm = _field_distance(en.field, em.field, first.times, norm_grid)
             d_nm = float(
                 np.sum(sup_distance(en, em)[mask]) * grid.cell_volume
             )
@@ -419,7 +414,7 @@ def cauchy_diagnostic(
                     d_nm,
                     bound,
                     constants,
-                    _metadata(first, base_field, levels[i], levels[j]),
+                    _metadata(en, base_field, em.field.mollification_level),
                     slack=slack,
                     additive=budget["additive_total"],
                 )
@@ -532,7 +527,9 @@ def regularity_set(
     |X_t(x) - X_t(y)| <= psi^{-1}_{|x-y|}(2 lens threshold) on sampled pairs
     of E at every mesh time.  Returns the grid rows of E and a thm41 report
     whose LHS is the worst distance/bound ratio (0 when the bound exceeds the
-    largest attainable separation, which it typically does at desk scale).
+    largest attainable separation, which it typically does at desk scale);
+    its ``n_pairs`` counts the sampled pairs of distinct rows checked, 0
+    when E has fewer than 2 rows.
 
     E is decided in two steps.  The displacement bound of ``_live_radii``
     caps Q at each dyadic radius from D = max |X_t(x) - x| alone; a radius
@@ -599,12 +596,13 @@ def regularity_set(
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    n_vacuous = 0
+    n_pairs = n_vacuous = 0
     if len(e_rows) >= 2 and n_pair_samples > 0:
         ia = rng.choice(e_rows, n_pair_samples)
         ib = rng.choice(e_rows, n_pair_samples)
         keep = ia != ib
         ia, ib = ia[keep], ib[keep]
+        n_pairs = len(ia)
         max_dist = sup_distance_rows(
             ensemble.positions, ensemble.positions, ia, ib
         )
@@ -642,7 +640,7 @@ def regularity_set(
         "L": base_l,
         "g_norm": g_norm,
         "set_size": len(e_rows),
-        "n_pairs": int(n_pair_samples),
+        "n_pairs": n_pairs,
         "n_vacuous_bounds": n_vacuous,
         "xi_cap": xi_cap,
     }
@@ -707,18 +705,14 @@ def _offset_sums(ensemble: TrajectoryEnsemble, rows, radius: float):
     at grid ``rows`` and the nonzero lattice offsets k in B(r).
 
     The sums stream over blocks of mesh times, each about
-    ``numerics.BLOCK_ELEMENTS`` distances and at least 2 times wide.  A
-    column sum of a wider block adds the centers in order, as a sum over
-    all mesh times at once does; a one-column sum would take numpy's
-    pairwise path and round differently.
+    ``numerics.BLOCK_ELEMENTS`` distances and at least 2 times wide
+    (``row_blocks`` with ``min_rows=2``).  A column sum of a wider block
+    adds the centers in order, as a sum over all mesh times at once does; a
+    one-column sum would take numpy's pairwise path and round differently.
     """
     neighbors = list(_neighbor_rows(ensemble.grid, rows, radius))
-    blocks = row_blocks(ensemble.n_times, len(rows), min_rows=2)
-    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
-        # fold a 1-column remainder into the block before it
-        blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
     acc = np.zeros(ensemble.n_times)
-    for cols in blocks:
+    for cols in row_blocks(ensemble.n_times, len(rows), min_rows=2):
         here = ensemble.positions[rows, cols]
         for nbr in neighbors:
             acc[cols] += _separation(ensemble.positions[nbr, cols], here).sum(axis=0)
@@ -737,19 +731,20 @@ class TranslationConstants:
 
 def translation_constants(
     base_field: VectorField,
-    moll_fields: list,
+    ensembles: list,
     region_radius: float,
-    horizon: float,
-    spacing: float,
-    times: np.ndarray,
 ) -> TranslationConstants:
-    """R~ = 3R/2 + 2T sup_n ||b^n|| and C = |B(R)| + 2L sup_n ||g^n||."""
-    sup_b = max(f.sup_bound for f in moll_fields)
+    """R~ = 3R/2 + 2T sup_n ||b^n|| and C = |B(R)| + 2L sup_n ||g^n||, over
+    the fields b^n that drive ``ensembles``, on the first one's horizon T,
+    spacing and times."""
+    first = ensembles[0]
+    horizon = first.horizon
+    sup_b = max(e.field.sup_bound for e in ensembles)
     r_tilde = 1.5 * region_radius + 2.0 * horizon * sup_b
-    norm_grid = make_grid(base_field.dimension, r_tilde, spacing)
+    norm_grid = make_grid(base_field.dimension, r_tilde, first.grid.spacing)
     base_l = compressibility_constant(base_field, norm_grid, horizon)
     sup_g = max(
-        _witness_norm(f, times, norm_grid) for f in moll_fields
+        _witness_norm(e.field, first.times, norm_grid) for e in ensembles
     )
     c_drt = (
         ball_measure(base_field.dimension, region_radius)
@@ -763,14 +758,14 @@ def translation_functional(
     radius: float,
     region_radius: float,
     consts: TranslationConstants,
-    modulus: ModulusOfContinuity,
     slack: float = DEFAULT_SLACK,
 ) -> EstimateReport:
     """sup_t of the double integral of |X_t(x) - X_t(x+z)| vs g(r) |B(r)|.
 
     z runs over lattice multiples of the grid spacing inside B(r) (nearest
     trajectory lookup, no interpolation); the bound is
-    g(r) = (R~ / psi_r(R~)) C_{d,R,T} times the measure of B(r).
+    g(r) = (R~ / psi_r(R~)) C_{d,R,T} times the measure of B(r), with psi_r
+    of the modulus of the field that drives ``ensemble``.
     """
     if not 0.0 < radius < region_radius / 2.0:
         raise EstimateError("need 0 < r < R/2")
@@ -779,7 +774,7 @@ def translation_functional(
     acc = _offset_sums(ensemble, rows, radius)
     lhs = float(acc.max() * grid.cell_volume * grid.cell_volume)
 
-    psi = PsiFunctional(modulus, float(radius))
+    psi = PsiFunctional(ensemble.field.modulus, float(radius))
     psi_at_rt = psi.psi(consts.r_tilde)
     g_of_r = consts.r_tilde / psi_at_rt * consts.c_drt
     rhs = g_of_r * ball_measure(grid.dimension, radius)

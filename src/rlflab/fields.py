@@ -99,6 +99,7 @@ __all__ = [
     "series_direct",
     "series_deriv_direct",
     "measure_osgood_constant",
+    "sobolev_profile",
 ]
 
 PI2_OVER_6 = math.pi**2 / 6.0
@@ -648,8 +649,12 @@ def _make_osgood_sum(dimension, terms=1000):
     )
 
 
-def _sobolev_profile(pts: np.ndarray, alpha: float, cap: float):
-    """min(r^-alpha, cap) and r = |x| per row; NaN where r is not finite."""
+def sobolev_profile(
+    pts: np.ndarray, alpha: float = SOBOLEV_ALPHA, cap: float = SOBOLEV_CAP
+):
+    """min(r^-alpha, cap) and r = |x| per row; NaN where r is not finite.
+    The ``sobolev-singular`` field's speed, and the lemma23 battery's
+    ``singular_speed`` at the defaults."""
     r = row_norms(pts)
     with np.errstate(divide="ignore"):  # r = 0 gives inf, capped below
         out = np.power(r, -alpha)
@@ -684,7 +689,7 @@ def _make_sobolev(dimension, alpha=SOBOLEV_ALPHA, cap=SOBOLEV_CAP):
         r_cap = math.inf
 
     def ev(t, pts):
-        prof, _ = _sobolev_profile(pts, alpha, cap)
+        prof, _ = sobolev_profile(pts, alpha, cap)
         out = np.zeros_like(pts)
         out[:, 0] = prof
         return out
@@ -887,8 +892,12 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     The tensor-product midpoint quadrature weights are normalized to unit
     mass, so the mollified evaluator is a convex combination of field values;
     the sup bound is inherited and constants are reproduced exactly.  The
-    quadrature runs over blocks of points, and each point's value is its own
-    reduction over the nodes, so it does not depend on the other points.
+    quadrature runs over blocks of points, each point's value its own
+    reduction over the nodes.  numpy's einsum can sum a one-point block
+    along another path than a wider block and round differently, so no
+    block holds one point alone (``numerics.row_blocks`` with
+    ``min_rows=2``); in d >= 2, where one point's nodes already pass the
+    element budget, a block holds 2 or 3 points.
 
     ``osgood-sum``, whose components are one 1-D series each, convolves each
     component with the kernel's axis marginal in closed form over the
@@ -921,8 +930,8 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
         def ev(t, pts):
             out = np.empty((len(pts), width))
             # in d = 1 a block's (rows * m, d) temporaries fit the element
-            # budget; 64 rows at least keep the per-block overhead small
-            for blk in row_blocks(len(pts), m * d, min_rows=64):
+            # budget; in d >= 2 a block holds 2 or 3 rows
+            for blk in row_blocks(len(pts), m * d, min_rows=2):
                 block = pts[blk]
                 shifted = (block[:, None, :] - nodes[None, :, :]).reshape(-1, d)
                 vals = np.asarray(base_ev(t, shifted), np.float64)

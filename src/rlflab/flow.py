@@ -5,8 +5,10 @@ with classical fixed-step RK4.  A fixed uniform time mesh keeps ensembles
 directly comparable: sup distances, the ball-average functionals and the
 translation functionals all consume the stored ``(point, time, coordinate)``
 position array.  A coarser mesh is a slice of it, ``positions[:, ::k]``.
-The push-forward bound L of a flow is not measured here: every report takes
-it from the field's divergence, ``fields.compressibility_constant``.
+An ensemble carries the field that drove it, so a level's field, modulus,
+sup bound and witness are read from its flow.  The push-forward bound L of a
+flow is not measured here: every report takes it from the field's
+divergence, ``fields.compressibility_constant``.
 
 Integration is data-parallel across initial points: contiguous blocks of
 them run on the CPUs of the affinity mask, one process each.  A trajectory
@@ -57,16 +59,17 @@ class TrajectoryEnsemble:
 
     ``positions`` has shape (n_points, n_times, d); positions at the first
     mesh time equal the grid points exactly.  ``flags`` marks trajectories
-    aborted by non-finite field evaluations.
+    aborted by non-finite field evaluations.  ``field`` is the field that
+    drove the flow, the very object given to ``integrate_ensemble``: its id,
+    level, sup bound, modulus and witness are read through it, and the
+    values ``fields.measured_once`` keeps on it serve every ensemble of it.
     """
 
     grid: PointGrid
     times: np.ndarray
     positions: np.ndarray
     flags: np.ndarray
-    field_id: str
-    mollification_level: int | None
-    sup_bound: float
+    field: VectorField
     tau: float
 
     @property
@@ -81,7 +84,7 @@ class TrajectoryEnsemble:
         """R + T ||b|| + 10 tau, the bound every trajectory must respect."""
         return (
             self.grid.radius
-            + self.horizon * self.sup_bound
+            + self.horizon * self.field.sup_bound
             + GROWTH_SLACK_STEPS * self.tau
         )
 
@@ -93,7 +96,8 @@ class TrajectoryEnsemble:
         )
 
     def restrict(self, radius: float) -> "TrajectoryEnsemble":
-        """Trajectories started in ``B(radius)``, in ``make_grid`` order.
+        """Trajectories started in ``B(radius)``, in ``make_grid`` order,
+        driven by the same ``field`` object.
 
         When the rows form one contiguous run, as every centered ball does
         in d = 1, the positions and flags are views of this ensemble's;
@@ -181,16 +185,7 @@ def integrate_ensemble(
             f"cannot allocate ({dims}) positions: {amount} GiB"
         ) from None
     flags = ~np.isfinite(positions).all(axis=(1, 2))
-    return TrajectoryEnsemble(
-        grid,
-        times,
-        positions,
-        flags,
-        field.catalog_id,
-        field.mollification_level,
-        field.sup_bound,
-        float(tau),
-    )
+    return TrajectoryEnsemble(grid, times, positions, flags, field, float(tau))
 
 
 def sup_distance(a: TrajectoryEnsemble, b: TrajectoryEnsemble) -> np.ndarray:

@@ -352,15 +352,21 @@ BLOCK_ELEMENTS = 1 << 13
 def row_blocks(n_rows: int, row_size: int, min_rows: int = 1) -> list:
     """Slices cutting ``range(n_rows)`` into consecutive blocks of
     ``max(min_rows, BLOCK_ELEMENTS // row_size)`` rows; the last may be
-    shorter.
+    shorter.  With ``min_rows >= 2`` no block holds one row alone: a
+    one-row remainder joins the block before it.
 
     A reduction that treats each row on its own gives the same values over
     the blocks as over all rows at once, while its temporaries hold one
-    block: about ``BLOCK_ELEMENTS`` elements each, or ``min_rows`` rows when
-    one row is larger than the budget.
+    block: about ``BLOCK_ELEMENTS`` elements each, or ``min_rows`` rows (one
+    more in the last block) when one row is larger than the budget.  numpy
+    may reduce a one-row array along another path than a wider one and
+    round differently; with ``min_rows >= 2`` no row is reduced alone.
     """
     step = max(min_rows, BLOCK_ELEMENTS // row_size)
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    blocks = [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    if min_rows >= 2 and len(blocks) > 1 and n_rows - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, n_rows)]
+    return blocks
 
 
 # --------------------------------------------------------------------------

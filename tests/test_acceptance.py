@@ -125,17 +125,13 @@ def test_ac2_example_field_structure(osgood):
     assert elapsed < 30.0
 
 
-def test_ac3_stability_all_pairs(osgood, moll, ens_b1):
+def test_ac3_stability_all_pairs(osgood, ens_b1):
     started = time.time()
     levels = (4, 8, 16, 32)
     reports = []
     for i, n in enumerate(levels):
         for m in levels[i + 1 :]:
-            reports.append(
-                stability_report(
-                    moll[n], moll[m], ens_b1[n], ens_b1[m], 1.0, slack=0.05
-                )
-            )
+            reports.append(stability_report(ens_b1[n], ens_b1[m], 1.0, slack=0.05))
     elapsed = time.time() - started
     ok = len(reports) == 6 and all(r.passed for r in reports)
     report_line(
@@ -149,12 +145,11 @@ def test_ac3_stability_all_pairs(osgood, moll, ens_b1):
     assert elapsed < 300.0
 
 
-def test_ac4_cauchy_construction(osgood, moll, ens_b1, ens_b1_fine_step):
+def test_ac4_cauchy_construction(osgood, ens_b1, ens_b1_fine_step):
     started = time.time()
     levels = (4, 8, 16, 32)
     reports = cauchy_diagnostic(
         osgood,
-        [moll[n] for n in levels],
         [ens_b1[n] for n in levels],
         eta=0.05,
         region_radius=1.0,
@@ -263,21 +258,16 @@ def test_ac6_compactness_functional(witnessed_rep_ensembles):
     assert elapsed < 180.0
 
 
-def test_ac7_translation_estimate(osgood, moll, ens_b15):
+def test_ac7_translation_estimate(osgood, ens_b15):
     started = time.time()
-    fields = [moll[n] for n in (8, 16, 32)]
-    consts = translation_constants(
-        osgood, fields, 1.0, 1.0, 0.01, ens_b15[32].times
-    )
+    consts = translation_constants(osgood, [ens_b15[n] for n in (8, 16, 32)], 1.0)
     radii = [0.25 / 2**j for j in range(5)]  # R/4 down to R/64
     bound_ok = True
     tables = {}
     for n in (8, 16, 32):
         rows = []
         for r in radii:
-            rep = translation_functional(
-                ens_b15[n], r, 1.0, consts, osgood.modulus, slack=0.05
-            )
+            rep = translation_functional(ens_b15[n], r, 1.0, consts, slack=0.05)
             bound_ok &= rep.passed
             rows.append((r, rep.constants["g_of_r"], rep.rhs))
         tables[n] = rows

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -215,6 +216,21 @@ class TestRunExperiment:
         for report in reports:
             doc = json.loads(report.read_text(), parse_constant=refuse)
             assert doc["verdict"] == "pass"
+
+    def test_thm44_reports_carry_series_K(self, tmp_path):
+        # thm44 reads K from the field its flow carries, as prop43 does
+        cfg = parse_config(write_config(tmp_path, OSGOOD_D2))
+        cfg.out = str(tmp_path / "out")
+        assert run_experiment(cfg, "compactness") == 0
+        reports = [
+            json.loads(p.read_text())
+            for p in (tmp_path / "out" / "reports").iterdir()
+        ]
+        assert {r["estimate_id"] for r in reports} == {"prop43", "thm44"}
+        assert all(r["metadata"]["K"] == 100 for r in reports)
+        with open(tmp_path / "out" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["K"] for row in rows} == {"100"}
 
     def test_weak_type_battery_is_radial_in_d2(self, tmp_path, monkeypatch):
         # singular_speed is min(r^-alpha, cap) of the 1-D sobolev-singular

@@ -47,18 +47,16 @@ def _const_ensembles(values, radius=1.0, h=0.01, horizon=1.0, tau=1e-3, level=No
 
 
 class TestStability:
-    def test_same_ensemble_lhs_zero(self, moll, ens_b1):
-        rep = stability_report(
-            moll[8], moll[8], ens_b1[8], ens_b1[8], 1.0, delta=0.1
-        )
+    def test_same_ensemble_lhs_zero(self, ens_b1):
+        rep = stability_report(ens_b1[8], ens_b1[8], 1.0, delta=0.1)
         assert rep.lhs == 0.0
         assert rep.passed
 
     def test_constant_pair_closed_form(self):
         grid, pairs = _const_ensembles([0.0, 0.1])
-        (f0, e0), (f1, e1) = pairs
+        (_, e0), (_, e1) = pairs
         delta = 0.1  # = T * |v2 - v1|
-        rep = stability_report(f0, f1, e0, e1, 1.0, delta=delta)
+        rep = stability_report(e0, e1, 1.0, delta=delta)
         measure_r = grid_integral(grid, np.ones(grid.n_points))
         assert rep.lhs == pytest.approx(measure_r * math.log(2.0), rel=1e-9)
         # RHS: witnesses vanish, L = L~ = 1, so it is ||b - b~||_1 / delta
@@ -67,8 +65,8 @@ class TestStability:
         assert rep.rhs == pytest.approx(expect_rhs, rel=1e-12)
         assert rep.passed
 
-    def test_measured_delta_default(self, moll, ens_b1):
-        rep = stability_report(moll[8], moll[32], ens_b1[8], ens_b1[32], 1.0)
+    def test_measured_delta_default(self, ens_b1):
+        rep = stability_report(ens_b1[8], ens_b1[32], 1.0)
         assert rep.constants["delta"] > 0.0
         assert rep.constants["delta"] == pytest.approx(
             rep.constants["b_l1_distance"], rel=1e-12
@@ -78,8 +76,8 @@ class TestStability:
     def test_coinciding_fields_default_delta(self):
         # two levels of one constant field: ||b - b~|| = 0, delta falls back
         _, pairs = _const_ensembles([1.0, 1.0], level=4)
-        (f4, e4), (f8, e8) = pairs
-        rep = stability_report(f4, f8, e4, e8, 1.0)
+        (_, e4), (_, e8) = pairs
+        rep = stability_report(e4, e8, 1.0)
         assert rep.constants["b_l1_distance"] == 0.0
         assert rep.constants["delta"] == 1e-6
         assert rep.passed
@@ -96,22 +94,21 @@ class TestStability:
                 fa, fb, ea.times, make_grid(1, 1.0 + base.sup_bound, 0.01)
             )
             rep = stability_report(
-                fa, fb, ea, eb, 1.0, delta=delta if delta > 0 else 1e-6
+                ea, eb, 1.0, delta=delta if delta > 0 else 1e-6
             )
             assert rep.passed, cid
 
-    def test_mesh_guard(self, moll, ens_b1, ens_b15):
+    def test_mesh_guard(self, ens_b1, ens_b15):
         with pytest.raises(EstimateError):
-            stability_report(moll[8], moll[16], ens_b1[8], ens_b15[16], 1.0)
+            stability_report(ens_b1[8], ens_b15[16], 1.0)
 
 
 class TestCauchy:
     def test_levels_of_constant_field_all_zero(self):
         grid, entries = _const_ensembles([1.0, 1.0, 1.0], level=4)
         base = catalog_field("constant", 1, value=1.0)
-        fields = [f for f, _ in entries]
         ens = [e for _, e in entries]
-        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        reports = cauchy_diagnostic(base, ens, 0.05, 1.0)
         assert all(r.lhs == 0.0 for r in reports)
         assert all(r.passed for r in reports)
 
@@ -119,9 +116,8 @@ class TestCauchy:
         # b^n = b^m gives delta_{n,m} = 0, which psi takes as 1e-6
         _, entries = _const_ensembles([1.0, 1.0, 1.0], level=4)
         base = catalog_field("constant", 1, value=1.0)
-        fields = [f for f, _ in entries]
         ens = [e for _, e in entries]
-        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        reports = cauchy_diagnostic(base, ens, 0.05, 1.0)
         assert len(reports) == 3
         for r in reports:
             assert r.constants["delta_nm"] == 0.0
@@ -134,22 +130,19 @@ class TestCauchy:
         values = [1.0 / 4, 1.0 / 8, 1.0 / 16]
         grid, entries = _const_ensembles(values, level=4)
         base = catalog_field("constant", 1, value=values[0])
-        fields = [f for f, _ in entries]
         ens = [e for _, e in entries]
-        reports = cauchy_diagnostic(base, fields, ens, 0.05, 1.0)
+        reports = cauchy_diagnostic(base, ens, 0.05, 1.0)
         measure = grid_integral(grid, np.ones(grid.n_points))
-        levels = [f.mollification_level for f in fields]
+        levels = [f.mollification_level for f, _ in entries]
         for r in reports:
             vn = values[levels.index(r.metadata["n"])]
             vm = values[levels.index(r.metadata["m"])]
             assert r.lhs == pytest.approx(measure * abs(vn - vm), rel=1e-9)
         assert all(r.passed for r in reports)
 
-    def test_needs_three_levels(self, osgood, moll, ens_b1):
+    def test_needs_three_levels(self, osgood, ens_b1):
         with pytest.raises(EstimateError):
-            cauchy_diagnostic(
-                osgood, [moll[4], moll[8]], [ens_b1[4], ens_b1[8]], 0.05, 1.0
-            )
+            cauchy_diagnostic(osgood, [ens_b1[4], ens_b1[8]], 0.05, 1.0)
 
 
 class TestRegularityQ:
@@ -265,7 +258,7 @@ class TestLiveRadii:
 def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
     """regularity_set's pair check with one psi_r per lattice distance r,
     for psi_r(xi_cap) and the bound, and no vacuity shortcut: (worst ratio,
-    vacuous bounds)."""
+    vacuous bounds, pairs checked)."""
     grid = ens.grid
     target = 2.0 * LENS_CONSTANT[grid.dimension] * threshold
     xi_cap = 2.0 * ens.growth_radius() + 1.0
@@ -287,7 +280,7 @@ def _pair_check_by_distance(ens, modulus, e_rows, threshold, n_pairs, seed):
     finite = np.isfinite(bounds)
     ratios = np.zeros_like(bounds)
     ratios[finite] = max_dist[finite] / bounds[finite]
-    return float(ratios.max(initial=0.0)), int((~finite).sum())
+    return float(ratios.max(initial=0.0)), int((~finite).sum()), len(ia)
 
 
 class TestPairCheckShortcut:
@@ -307,7 +300,7 @@ class TestPairCheckShortcut:
         closest = PsiFunctional(f.modulus, grid.spacing).psi(xi_cap)
         assert (closest + 1e-6 <= target) == fires
         assert (threshold == 1.0) != fires
-        worst, n_vacuous = _pair_check_by_distance(
+        worst, n_vacuous, n_pairs = _pair_check_by_distance(
             ens, f.modulus, e_rows, threshold, 500, 20260809
         )
         assert (worst > 0.0) != fires  # some bound is finite
@@ -317,12 +310,21 @@ class TestPairCheckShortcut:
             "thm41",
             lhs,
             1.0,
-            {**rep.constants, "n_vacuous_bounds": n_vacuous},
+            {**rep.constants, "n_vacuous_bounds": n_vacuous, "n_pairs": n_pairs},
             rep.metadata,
             rep.slack,
             0.0,
         )
         assert rep.to_json() == expect.to_json()
+        assert 0 < n_pairs < 500  # the draws with ia == ib are not checked
+
+    def test_no_pairs_below_two_rows(self):
+        # B(R) with R below the spacing holds the origin alone
+        f = catalog_field("constant", 1, value=0.0)
+        ens = integrate_ensemble(f, make_grid(1, 0.5, 0.1), 0.1, 0.05)
+        e_rows, rep = regularity_set(ens, f, 0.05, 0.05)
+        assert len(e_rows) == 1
+        assert rep.constants["n_pairs"] == rep.constants["n_vacuous_bounds"] == 0
 
 
 class TestPairBounds:
@@ -422,8 +424,8 @@ class TestTranslation:
         grid = make_grid(d, 1.5, h)
         f = catalog_field("constant", d, value=0.0)
         ens = integrate_ensemble(f, grid, 1.0, 0.01)
-        consts = translation_constants(f, [f], 1.0, 1.0, h, ens.times)
-        rep = translation_functional(ens, 0.25, 1.0, consts, LIN)
+        consts = translation_constants(f, [ens], 1.0)
+        rep = translation_functional(ens, 0.25, 1.0, consts)
         # oracle: each row |x| <= 1 sees every integer offset 0 < |k| <= r/h
         # at distance |k| h, weighted by h^d for x and again for z
         w, rows = round(0.25 / h), round(1.0 / h)
@@ -449,22 +451,19 @@ class TestTranslation:
         f1 = catalog_field("constant", 1, value=1.0)
         e0 = integrate_ensemble(f0, grid, 1.0, 0.01)
         e1 = integrate_ensemble(f1, grid, 1.0, 0.01)
-        c0 = translation_constants(f0, [f0], 1.0, 1.0, 0.01, e0.times)
-        l0 = translation_functional(e0, 0.25, 1.0, c0, LIN).lhs
-        l1 = translation_functional(e1, 0.25, 1.0, c0, LIN).lhs
+        c0 = translation_constants(f0, [e0], 1.0)
+        l0 = translation_functional(e0, 0.25, 1.0, c0).lhs
+        l1 = translation_functional(e1, 0.25, 1.0, c0).lhs
         assert l1 == pytest.approx(l0, abs=1e-12)
 
-    def test_g_decreases_in_r(self, osgood, moll, ens_b15):
+    def test_g_decreases_in_r(self, osgood, ens_b15):
         consts = translation_constants(
-            osgood, [moll[8], moll[16], moll[32]], 1.0, 1.0, 0.01,
-            ens_b15[32].times,
+            osgood, [ens_b15[8], ens_b15[16], ens_b15[32]], 1.0
         )
         radii = [0.25 / 2**j for j in range(5)]
         gs = []
         for r in radii:
-            rep = translation_functional(
-                ens_b15[32], r, 1.0, consts, osgood.modulus
-            )
+            rep = translation_functional(ens_b15[32], r, 1.0, consts)
             assert rep.passed
             gs.append(rep.constants["g_of_r"])
         assert all(a > b for a, b in zip(gs, gs[1:]))
@@ -493,10 +492,8 @@ class TestOffsetSweep:
         f, ens = linear_2d
         grid = ens.grid
         r, region = 0.15, 0.4
-        consts = translation_constants(
-            f, [f], region, ens.horizon, grid.spacing, ens.times
-        )
-        rep = translation_functional(ens, r, region, consts, LIN)
+        consts = translation_constants(f, [ens], region)
+        rep = translation_functional(ens, r, region, consts)
         centers = np.flatnonzero(
             np.linalg.norm(grid.points, axis=1) <= region * (1 + 1e-12)
         )
@@ -515,11 +512,9 @@ class TestOffsetSweep:
         # centers in B(0.5) shifted by up to 0.2 reach past the grid's 0.6
         with pytest.raises(EstimateError, match="shifted point"):
             compactness_a(ens, f, 0.2, 0.5)
-        consts = translation_constants(
-            f, [f], 0.5, ens.horizon, ens.grid.spacing, ens.times
-        )
+        consts = translation_constants(f, [ens], 0.5)
         with pytest.raises(EstimateError, match="shifted point"):
-            translation_functional(ens, 0.2, 0.5, consts, LIN)
+            translation_functional(ens, 0.2, 0.5, consts)
 
     def test_regularity_set_identity_flow(self):
         f = catalog_field("constant", 2, value=0.0)
@@ -557,9 +552,9 @@ class TestPsiChainOnFlow:
 
 
 class TestReportSerialization:
-    def test_json_deterministic_and_consistent(self, moll, ens_b1):
-        rep1 = stability_report(moll[8], moll[16], ens_b1[8], ens_b1[16], 1.0)
-        rep2 = stability_report(moll[8], moll[16], ens_b1[8], ens_b1[16], 1.0)
+    def test_json_deterministic_and_consistent(self, ens_b1):
+        rep1 = stability_report(ens_b1[8], ens_b1[16], 1.0)
+        rep2 = stability_report(ens_b1[8], ens_b1[16], 1.0)
         assert rep1.to_json() == rep2.to_json()
         row = rep1.csv_row("stability")
         assert row[0] == "stability" and row[1] == "thm31"

@@ -18,7 +18,6 @@ from rlflab.fields import (
     MollifierKernel,
     SeriesEvaluator,
     _near_pairs,
-    _sobolev_profile,
     _tail_cache_path,
     _tail_table,
     calibrate_witness_constant,
@@ -30,6 +29,7 @@ from rlflab.fields import (
     mollify,
     series_deriv_direct,
     series_direct,
+    sobolev_profile,
 )
 from rlflab.modulus import ModulusOfContinuity
 from rlflab.numerics import ball_average, grid_integral, make_grid
@@ -208,12 +208,12 @@ class TestCatalog:
             pos = r > 0.0
             want[pos] = np.minimum(r[pos] ** (-alpha), cap)
             want[~np.isfinite(r)] = np.nan
-            got, got_r = _sobolev_profile(pts, alpha, cap)
+            got, got_r = sobolev_profile(pts, alpha, cap)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(got_r, r, equal_nan=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # r = 0 warns of no division
-            assert _sobolev_profile(np.zeros((1, d)), alpha, cap)[0][0] == cap
+            assert sobolev_profile(np.zeros((1, d)), alpha, cap)[0][0] == cap
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sobolev_finite_far_out(self, d):

@@ -166,6 +166,14 @@ class TestRestrict:
         assert np.array_equal(sub.positions, direct.positions)
         assert np.array_equal(sub.flags, direct.flags)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_keeps_the_driving_field(self, d):
+        field = mollify(catalog_field("constant", d), MollifierKernel(4))
+        wide = integrate_ensemble(field, make_grid(d, 0.35, 0.05), 0.03, 0.01)
+        assert wide.field is field
+        assert wide.restrict(0.2).field is field
+        assert wide.growth_radius() == 0.35 + 0.03 * field.sup_bound + 0.1
+
     def test_full_radius_and_beyond(self):
         f = catalog_field("constant", 1)
         ens = integrate_ensemble(f, make_grid(1, 1.0, 0.1), 0.1, 0.01)
