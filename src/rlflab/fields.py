@@ -896,8 +896,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     reduction over the nodes.  numpy's einsum can sum a one-point block
     along another path than a wider block and round differently, so no
     block holds one point alone (``numerics.row_blocks`` with
-    ``min_rows=2``); in d >= 2, where one point's nodes already pass the
-    element budget, a block holds 2 or 3 points.
+    ``min_rows=2``).
 
     ``osgood-sum``, whose components are one 1-D series each, convolves each
     component with the kernel's axis marginal in closed form over the
